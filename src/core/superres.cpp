@@ -1,5 +1,6 @@
 #include "core/superres.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.h"
@@ -9,37 +10,144 @@
 namespace mmr::core {
 namespace {
 
-dsp::CMatrix sinc_dictionary(std::size_t num_taps, double ts,
-                             double bandwidth_hz, const RVec& delays_s) {
-  dsp::CMatrix s(num_taps, delays_s.size());
-  for (std::size_t col = 0; col < delays_s.size(); ++col) {
-    for (std::size_t n = 0; n < num_taps; ++n) {
-      s(n, col) =
-          cplx{dsp::sampled_sinc_tap(n, ts, bandwidth_hz, delays_s[col]), 0.0};
-    }
+/// Dictionary column (Eq. 22): the sampled sinc pulse of a path at
+/// `delay_s`.
+void fill_column(double* col, std::size_t taps, double ts,
+                 double bandwidth_hz, double delay_s) {
+  for (std::size_t n = 0; n < taps; ++n) {
+    col[n] = dsp::sampled_sinc_tap(n, ts, bandwidth_hz, delay_s);
   }
-  return s;
 }
 
-double fit_residual(const CVec& cir, const dsp::CMatrix& s, const CVec& alpha) {
-  const CVec model = s * alpha;
-  double acc = 0.0;
-  for (std::size_t n = 0; n < cir.size(); ++n) acc += std::norm(cir[n] - model[n]);
-  return std::sqrt(acc);
+/// Model tap n, sum_k S[n][k] alpha_k, summed over beams in index order
+/// (columns stored one after the other, `taps` samples each).
+cplx model_tap(const double* cols, std::size_t taps, std::size_t beams,
+               const cplx* alpha, std::size_t n) {
+  cplx acc{};
+  for (std::size_t k = 0; k < beams; ++k) acc += cols[k * taps + n] * alpha[k];
+  return acc;
 }
 
-struct Solve {
-  CVec alpha;
-  double residual;
+// The ridge fits of the delay search. A candidate is one delay set with
+// its real dictionary columns, the unregularized Gram matrix S^T S (lower
+// triangle), S^T h and the fit they give. The search keeps the best
+// candidate and fits each trial into a second slot, swapped in when it
+// wins; moving one delay recomputes only that column, its Gram row and
+// its right-hand-side entry. Sums run over taps in index order from +0.0
+// and lambda is added after the Gram sum, so every fit is bit-identical
+// to solving (S^H S + lambda I) alpha = S^H h over the complex dictionary
+// with zero imaginary parts. No solve allocates.
+class DelaySearch {
+ public:
+  DelaySearch(const CVec& h, std::size_t beams, double ts,
+              double bandwidth_hz, double lambda)
+      : h_(h),
+        taps_(h.size()),
+        beams_(beams),
+        ts_(ts),
+        bandwidth_hz_(bandwidth_hz),
+        lambda_(lambda),
+        reals_(2 * beams * (1 + taps_ + beams) + beams * beams),
+        cplxs_(4 * beams) {
+    double* r = reals_.data();
+    cplx* c = cplxs_.data();
+    for (Candidate* cand : {&best_, &trial_}) {
+      cand->delays = r;
+      cand->cols = r + beams;
+      cand->gram = r + beams * (1 + taps_);
+      r += beams * (1 + taps_ + beams);
+      cand->rhs = c;
+      cand->alpha = c + beams;
+      c += 2 * beams;
+    }
+    factor_ = r;
+  }
+
+  /// Fit the delay set delays[k] = delay_of(k), every column recomputed.
+  template <typename DelayOf>
+  double try_all(DelayOf delay_of) {
+    for (std::size_t k = 0; k < beams_; ++k) {
+      trial_.delays[k] = delay_of(k);
+      fill_column(column(trial_, k), taps_, ts_, bandwidth_hz_,
+                  trial_.delays[k]);
+    }
+    for (std::size_t i = 0; i < beams_; ++i) {
+      for (std::size_t j = 0; j <= i; ++j) {
+        trial_.gram[i * beams_ + j] =
+            dsp::dot(column(trial_, i), column(trial_, j), taps_);
+      }
+      trial_.rhs[i] = dsp::dot(column(trial_, i), h_.data(), taps_);
+    }
+    return solve_trial();
+  }
+
+  /// Fit the best candidate with beam k's delay moved to `delay_s`.
+  double try_move(std::size_t k, double delay_s) {
+    std::copy_n(best_.delays, beams_, trial_.delays);
+    std::copy_n(best_.cols, beams_ * taps_, trial_.cols);
+    std::copy_n(best_.gram, beams_ * beams_, trial_.gram);
+    std::copy_n(best_.rhs, beams_, trial_.rhs);
+    trial_.delays[k] = delay_s;
+    fill_column(column(trial_, k), taps_, ts_, bandwidth_hz_, delay_s);
+    for (std::size_t j = 0; j < beams_; ++j) {
+      const std::size_t row = std::max(j, k);
+      const std::size_t col = std::min(j, k);
+      trial_.gram[row * beams_ + col] =
+          dsp::dot(column(trial_, k), column(trial_, j), taps_);
+    }
+    trial_.rhs[k] = dsp::dot(column(trial_, k), h_.data(), taps_);
+    return solve_trial();
+  }
+
+  void accept() { std::swap(best_, trial_); }
+
+  double best_residual() const { return best_.residual; }
+  double best_delay(std::size_t k) const { return best_.delays[k]; }
+
+  void export_best(SuperresResult& out) const {
+    out.alphas.assign(best_.alpha, best_.alpha + beams_);
+    out.delays_s.assign(best_.delays, best_.delays + beams_);
+    out.residual = best_.residual;
+  }
+
+ private:
+  struct Candidate {
+    double* delays = nullptr;
+    double* cols = nullptr;
+    double* gram = nullptr;
+    cplx* rhs = nullptr;
+    cplx* alpha = nullptr;
+    double residual = 0.0;
+  };
+
+  double* column(const Candidate& c, std::size_t k) const {
+    return c.cols + k * taps_;
+  }
+
+  double solve_trial() {
+    std::copy_n(trial_.rhs, beams_, trial_.alpha);
+    dsp::ridge_solve(trial_.gram, beams_, lambda_, factor_, trial_.alpha);
+    double acc = 0.0;
+    for (std::size_t n = 0; n < taps_; ++n) {
+      acc += std::norm(h_[n] -
+                       model_tap(trial_.cols, taps_, beams_, trial_.alpha, n));
+    }
+    trial_.residual = std::sqrt(acc);
+    return trial_.residual;
+  }
+
+  const CVec& h_;
+  std::size_t taps_;
+  std::size_t beams_;
+  double ts_;
+  double bandwidth_hz_;
+  double lambda_;
+  RVec reals_;
+  CVec cplxs_;
+  Candidate best_;
+  Candidate trial_;
+  double* factor_ = nullptr;
 };
-
-Solve solve_for_delays(const CVec& cir, double ts, double bandwidth_hz,
-                       const RVec& delays, double lambda) {
-  const dsp::CMatrix s = sinc_dictionary(cir.size(), ts, bandwidth_hz, delays);
-  CVec alpha = dsp::ridge_least_squares(s, cir, lambda);
-  const double residual = fit_residual(cir, s, alpha);
-  return {std::move(alpha), residual};
-}
 
 }  // namespace
 
@@ -81,19 +189,16 @@ SuperresResult superres_per_beam(const CVec& cir, const RVec& nominal_delays_s,
 
   // Stage 1: common shift, relative structure fixed. Coarse grid over the
   // full span, then a fine grid around the best coarse shift.
-  RVec delays = nominal_delays_s;
-  Solve best = solve_for_delays(h, ts, bandwidth_hz, delays, config.lambda);
+  DelaySearch search(h, nominal_delays_s.size(), ts, bandwidth_hz,
+                     config.lambda);
+  search.try_all([&](std::size_t k) { return nominal_delays_s[k]; });
+  search.accept();
   double best_shift = 0.0;
   auto try_shift = [&](double shift) {
-    RVec trial(nominal_delays_s.size());
-    for (std::size_t k = 0; k < trial.size(); ++k) {
-      trial[k] = nominal_delays_s[k] + shift;
-    }
-    Solve attempt =
-        solve_for_delays(h, ts, bandwidth_hz, trial, config.lambda);
-    if (attempt.residual < best.residual) {
-      best = std::move(attempt);
-      delays = std::move(trial);
+    const double residual = search.try_all(
+        [&](std::size_t k) { return nominal_delays_s[k] + shift; });
+    if (residual < search.best_residual()) {
+      search.accept();
       best_shift = shift;
     }
   };
@@ -120,19 +225,14 @@ SuperresResult superres_per_beam(const CVec& cir, const RVec& nominal_delays_s,
   // Stage 2: small per-path refinement (relative-ToF drift).
   if (config.relative_steps > 1 && config.relative_span_s > 0.0) {
     for (std::size_t round = 0; round < config.refinement_rounds; ++round) {
-      for (std::size_t k = 0; k < delays.size(); ++k) {
-        const double center = delays[k];
+      for (std::size_t k = 0; k < nominal_delays_s.size(); ++k) {
+        const double center = search.best_delay(k);
         for (std::size_t si = 0; si < config.relative_steps; ++si) {
           const double off =
               grid_offset(si, config.relative_steps, config.relative_span_s);
           if (off == 0.0) continue;
-          RVec trial = delays;
-          trial[k] = center + off;
-          Solve attempt =
-              solve_for_delays(h, ts, bandwidth_hz, trial, config.lambda);
-          if (attempt.residual < best.residual) {
-            best = std::move(attempt);
-            delays = std::move(trial);
+          if (search.try_move(k, center + off) < search.best_residual()) {
+            search.accept();
           }
         }
       }
@@ -140,9 +240,7 @@ SuperresResult superres_per_beam(const CVec& cir, const RVec& nominal_delays_s,
   }
 
   SuperresResult result;
-  result.alphas = std::move(best.alpha);
-  result.delays_s = std::move(delays);
-  result.residual = best.residual;
+  search.export_best(result);
   // Last line of defense: a degenerate dictionary can still leak NaN out
   // of the solver; a non-finite "amplitude" is a claim of no energy, not
   // infinite energy, so clamp to zero rather than letting callers track
@@ -156,9 +254,18 @@ SuperresResult superres_per_beam(const CVec& cir, const RVec& nominal_delays_s,
 
 CVec reconstruct_cir(const SuperresResult& fit, std::size_t num_taps,
                      double ts, double bandwidth_hz) {
-  const dsp::CMatrix s =
-      sinc_dictionary(num_taps, ts, bandwidth_hz, fit.delays_s);
-  return s * fit.alphas;
+  MMR_EXPECTS(fit.alphas.size() == fit.delays_s.size());
+  const std::size_t beams = fit.delays_s.size();
+  RVec cols(beams * num_taps);
+  for (std::size_t k = 0; k < beams; ++k) {
+    fill_column(cols.data() + k * num_taps, num_taps, ts, bandwidth_hz,
+                fit.delays_s[k]);
+  }
+  CVec model(num_taps);
+  for (std::size_t n = 0; n < num_taps; ++n) {
+    model[n] = model_tap(cols.data(), num_taps, beams, fit.alphas.data(), n);
+  }
+  return model;
 }
 
 double estimate_peak_delay(const CVec& cir, double ts) {

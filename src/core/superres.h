@@ -63,9 +63,13 @@ SuperresResult superres_per_beam(const CVec& cir, const RVec& nominal_delays_s,
 CVec reconstruct_cir(const SuperresResult& fit, std::size_t num_taps,
                      double ts, double bandwidth_hz);
 
-/// Delay of the strongest arrival in a sampled CIR, with sub-tap accuracy
-/// from quadratic interpolation of |h[n]| around the peak. Used to seed
-/// the superres dictionary with each beam's nominal ToF after training.
+/// Delay of the strongest arrival in a sampled CIR. The peak tap is refined
+/// to sub-tap accuracy by maximizing the magnitude of the band-limited
+/// (sinc) interpolation of the CIR over +/- 0.6 taps around it, on a
+/// 49-point grid; a parabola through |h[n]| would be biased because the
+/// sinc's side lobes are not parabolic. Non-finite taps are zeroed first.
+/// Used to seed the superres dictionary with each beam's nominal ToF after
+/// training.
 double estimate_peak_delay(const CVec& cir, double ts);
 
 }  // namespace mmr::core

@@ -6,145 +6,100 @@
 #include "common/error.h"
 
 namespace mmr::dsp {
+namespace {
 
-CMatrix::CMatrix(std::size_t rows, std::size_t cols)
-    : rows_(rows), cols_(cols), data_(rows * cols, cplx{}) {}
-
-cplx& CMatrix::operator()(std::size_t r, std::size_t c) {
-  MMR_EXPECTS(r < rows_ && c < cols_);
-  return data_[r * cols_ + c];
+template <typename T>
+T dot_impl(const double* a, const T* b, std::size_t n) {
+  T acc{};
+  for (std::size_t i = 0; i < n; ++i) acc += a[i] * b[i];
+  return acc;
 }
 
-const cplx& CMatrix::operator()(std::size_t r, std::size_t c) const {
-  MMR_EXPECTS(r < rows_ && c < cols_);
-  return data_[r * cols_ + c];
-}
-
-CMatrix CMatrix::hermitian() const {
-  CMatrix out(cols_, rows_);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t c = 0; c < cols_; ++c) {
-      out(c, r) = std::conj((*this)(r, c));
-    }
-  }
-  return out;
-}
-
-CMatrix CMatrix::identity(std::size_t n) {
-  CMatrix out(n, n);
-  for (std::size_t i = 0; i < n; ++i) out(i, i) = cplx{1.0, 0.0};
-  return out;
-}
-
-CMatrix operator*(const CMatrix& a, const CMatrix& b) {
-  MMR_EXPECTS(a.cols() == b.rows());
-  CMatrix out(a.rows(), b.cols());
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    for (std::size_t k = 0; k < a.cols(); ++k) {
-      const cplx aik = a(i, k);
-      if (aik == cplx{}) continue;
-      for (std::size_t j = 0; j < b.cols(); ++j) {
-        out(i, j) += aik * b(k, j);
-      }
-    }
-  }
-  return out;
-}
-
-CVec operator*(const CMatrix& a, const CVec& x) {
-  MMR_EXPECTS(a.cols() == x.size());
-  CVec out(a.rows(), cplx{});
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    cplx acc{};
-    for (std::size_t j = 0; j < a.cols(); ++j) acc += a(i, j) * x[j];
-    out[i] = acc;
-  }
-  return out;
-}
-
-CMatrix operator+(const CMatrix& a, const CMatrix& b) {
-  MMR_EXPECTS(a.rows() == b.rows() && a.cols() == b.cols());
-  CMatrix out(a.rows(), a.cols());
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    for (std::size_t j = 0; j < a.cols(); ++j) out(i, j) = a(i, j) + b(i, j);
-  }
-  return out;
-}
-
-CMatrix operator*(cplx s, const CMatrix& a) {
-  CMatrix out(a.rows(), a.cols());
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    for (std::size_t j = 0; j < a.cols(); ++j) out(i, j) = s * a(i, j);
-  }
-  return out;
-}
-
-CVec cholesky_solve(const CMatrix& a, const CVec& b) {
-  MMR_EXPECTS(a.rows() == a.cols());
-  MMR_EXPECTS(a.rows() == b.size());
-  const std::size_t n = a.rows();
-  // Factor A = L L^H (lower triangular L).
-  CMatrix l(n, n);
+template <typename T>
+void cholesky_solve_impl(double* a, T* b, std::size_t n) {
+  // Factor A = L L^T in place (lower triangle).
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j <= i; ++j) {
-      cplx sum = a(i, j);
-      for (std::size_t k = 0; k < j; ++k) sum -= l(i, k) * std::conj(l(j, k));
+      double sum = a[i * n + j];
+      for (std::size_t k = 0; k < j; ++k) sum -= a[i * n + k] * a[j * n + k];
       if (i == j) {
-        const double diag = sum.real();
-        if (diag <= 0.0 || std::abs(sum.imag()) > 1e-9 * (1.0 + diag)) {
+        if (sum <= 0.0) {
           throw std::runtime_error(
               "cholesky_solve: matrix is not positive definite");
         }
-        l(i, j) = cplx{std::sqrt(diag), 0.0};
+        a[i * n + i] = std::sqrt(sum);
       } else {
-        l(i, j) = sum / l(j, j);
+        a[i * n + j] = sum / a[j * n + j];
       }
     }
   }
   // Forward substitution L y = b.
-  CVec y(n);
   for (std::size_t i = 0; i < n; ++i) {
-    cplx sum = b[i];
-    for (std::size_t k = 0; k < i; ++k) sum -= l(i, k) * y[k];
-    y[i] = sum / l(i, i);
+    T sum = b[i];
+    for (std::size_t k = 0; k < i; ++k) sum -= a[i * n + k] * b[k];
+    b[i] = sum / a[i * n + i];
   }
-  // Back substitution L^H x = y.
-  CVec x(n);
-  for (std::size_t ii = n; ii-- > 0;) {
-    cplx sum = y[ii];
-    for (std::size_t k = ii + 1; k < n; ++k) sum -= std::conj(l(k, ii)) * x[k];
-    x[ii] = sum / l(ii, ii);
+  // Back substitution L^T x = y.
+  for (std::size_t i = n; i-- > 0;) {
+    T sum = b[i];
+    for (std::size_t k = i + 1; k < n; ++k) sum -= a[k * n + i] * b[k];
+    b[i] = sum / a[i * n + i];
   }
-  return x;
 }
 
-CVec ridge_least_squares(const CMatrix& s, const CVec& b, double lambda) {
+template <typename T>
+void ridge_solve_impl(const double* gram, std::size_t n, double lambda,
+                      double* l, T* r) {
   MMR_EXPECTS(lambda > 0.0);
-  MMR_EXPECTS(s.rows() == b.size());
-  const CMatrix sh = s.hermitian();
-  CMatrix gram = sh * s;
-  for (std::size_t i = 0; i < gram.rows(); ++i) gram(i, i) += lambda;
-  const CVec rhs = sh * b;
-  return cholesky_solve(gram, rhs);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j <= i; ++j) l[i * n + j] = gram[i * n + j];
+    l[i * n + i] += lambda;
+  }
+  cholesky_solve_impl(l, r, n);
 }
 
-double norm(const CVec& v) {
-  double acc = 0.0;
-  for (const cplx& c : v) acc += std::norm(c);
-  return std::sqrt(acc);
+}  // namespace
+
+double dot(const double* a, const double* b, std::size_t n) {
+  return dot_impl(a, b, n);
 }
 
-cplx inner(const CVec& a, const CVec& b) {
-  MMR_EXPECTS(a.size() == b.size());
-  cplx acc{};
-  for (std::size_t i = 0; i < a.size(); ++i) acc += std::conj(a[i]) * b[i];
-  return acc;
+cplx dot(const double* a, const cplx* b, std::size_t n) {
+  return dot_impl(a, b, n);
 }
 
-CVec conj(const CVec& v) {
-  CVec out(v.size());
-  for (std::size_t i = 0; i < v.size(); ++i) out[i] = std::conj(v[i]);
-  return out;
+void cholesky_solve(double* a, double* b, std::size_t n) {
+  cholesky_solve_impl(a, b, n);
+}
+
+void cholesky_solve(double* a, cplx* b, std::size_t n) {
+  cholesky_solve_impl(a, b, n);
+}
+
+void ridge_solve(const double* gram, std::size_t n, double lambda, double* l,
+                 double* r) {
+  ridge_solve_impl(gram, n, lambda, l, r);
+}
+
+void ridge_solve(const double* gram, std::size_t n, double lambda, double* l,
+                 cplx* r) {
+  ridge_solve_impl(gram, n, lambda, l, r);
+}
+
+RVec ridge_least_squares(const double* s, std::size_t rows, std::size_t n,
+                         const RVec& b, double lambda) {
+  MMR_EXPECTS(b.size() == rows);
+  RVec gram(n * n);
+  RVec x(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j <= i; ++j) {
+      gram[i * n + j] = dot(s + i * rows, s + j * rows, rows);
+    }
+    x[i] = dot(s + i * rows, b.data(), rows);
+  }
+  RVec l(n * n);
+  ridge_solve(gram.data(), n, lambda, l.data(), x.data());
+  return x;
 }
 
 }  // namespace mmr::dsp

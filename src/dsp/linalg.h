@@ -1,8 +1,16 @@
-// Small dense complex linear algebra: just enough for the super-resolution
-// solver (regularized least squares, paper Eq. 23) and oracle beamforming.
-// Matrices are row-major and small (tens of rows/cols), so a straightforward
+// Small dense real linear algebra for the ridge-regularized least-squares
+// fits in this code base: the super-resolution solve (paper Eq. 23) and
+// the tracker's quadratic smoothing. Both design matrices are real (a
+// sampled sinc dictionary, a Vandermonde matrix), so the normal equations
+// are a real symmetric K x K system; only the right-hand side may be
+// complex. The systems are tiny (K <= a handful), so a straightforward
 // Cholesky on the normal equations is both adequate and robust given the
 // ridge term always present in our use.
+//
+// Matrices are raw arrays in caller-owned scratch, so a solve never
+// allocates. Every sum runs in index order from +0.0; with that order the
+// results are bit-identical to forming the same normal equations over a
+// complex matrix whose imaginary parts are zero.
 #pragma once
 
 #include <cstddef>
@@ -11,44 +19,31 @@
 
 namespace mmr::dsp {
 
-class CMatrix {
- public:
-  CMatrix() = default;
-  CMatrix(std::size_t rows, std::size_t cols);
+/// sum_i a[i] * b[i] for i = 0..n-1, accumulated in index order from +0.0.
+double dot(const double* a, const double* b, std::size_t n);
+cplx dot(const double* a, const cplx* b, std::size_t n);
 
-  std::size_t rows() const { return rows_; }
-  std::size_t cols() const { return cols_; }
+/// Solve A x = b for a real symmetric positive-definite n x n matrix A
+/// (row-major; only the lower triangle is read) via Cholesky, A = L L^T.
+/// A is overwritten by L, b by x. Throws std::runtime_error if A is not
+/// (numerically) positive definite.
+void cholesky_solve(double* a, double* b, std::size_t n);
+void cholesky_solve(double* a, cplx* b, std::size_t n);
 
-  cplx& operator()(std::size_t r, std::size_t c);
-  const cplx& operator()(std::size_t r, std::size_t c) const;
-
-  CMatrix hermitian() const;  ///< conjugate transpose
-
-  static CMatrix identity(std::size_t n);
-
- private:
-  std::size_t rows_ = 0;
-  std::size_t cols_ = 0;
-  CVec data_;
-};
-
-CMatrix operator*(const CMatrix& a, const CMatrix& b);
-CVec operator*(const CMatrix& a, const CVec& x);
-CMatrix operator+(const CMatrix& a, const CMatrix& b);
-CMatrix operator*(cplx s, const CMatrix& a);
-
-/// Hermitian positive-definite solve A x = b via Cholesky (A = L L^H).
-/// Throws std::runtime_error if A is not (numerically) positive definite.
-CVec cholesky_solve(const CMatrix& a, const CVec& b);
-
-/// Ridge-regularized least squares: argmin_x ||b - S x||^2 + lambda ||x||^2,
-/// solved through the normal equations (S^H S + lambda I) x = S^H b.
+/// Solve (G + lambda I) x = r for the n x n Gram matrix G of a real design
+/// matrix (row-major; only the lower triangle is read). `l` is n * n
+/// scratch that receives the Cholesky factor; r is overwritten by x.
 /// lambda > 0 guarantees positive definiteness.
-CVec ridge_least_squares(const CMatrix& s, const CVec& b, double lambda);
+void ridge_solve(const double* gram, std::size_t n, double lambda, double* l,
+                 double* r);
+void ridge_solve(const double* gram, std::size_t n, double lambda, double* l,
+                 cplx* r);
 
-/// Euclidean norm, inner product <a, b> = sum conj(a_i) b_i, and helpers.
-double norm(const CVec& v);
-cplx inner(const CVec& a, const CVec& b);
-CVec conj(const CVec& v);
+/// Ridge-regularized least squares: argmin_x ||b - S x||^2 + lambda ||x||^2
+/// for a real rows x n matrix S stored column by column (column j at
+/// s + j * rows), solved through the normal equations
+/// (S^T S + lambda I) x = S^T b.
+RVec ridge_least_squares(const double* s, std::size_t rows, std::size_t n,
+                         const RVec& b, double lambda);
 
 }  // namespace mmr::dsp

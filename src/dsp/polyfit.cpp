@@ -12,22 +12,17 @@ RVec polyfit(const RVec& x, const RVec& y, std::size_t degree) {
   MMR_EXPECTS(x.size() >= degree + 1);
   const std::size_t m = x.size();
   const std::size_t n = degree + 1;
-  // Vandermonde design matrix; reuse the complex solver (imag parts zero).
-  CMatrix v(m, n);
-  CVec rhs(m);
+  // Vandermonde design matrix, stored column by column.
+  RVec v(m * n);
   for (std::size_t i = 0; i < m; ++i) {
     double p = 1.0;
     for (std::size_t j = 0; j < n; ++j) {
-      v(i, j) = cplx{p, 0.0};
+      v[j * m + i] = p;
       p *= x[i];
     }
-    rhs[i] = cplx{y[i], 0.0};
   }
   // Tiny ridge for numerical safety; does not noticeably bias the fit.
-  const CVec c = ridge_least_squares(v, rhs, 1e-12);
-  RVec out(n);
-  for (std::size_t j = 0; j < n; ++j) out[j] = c[j].real();
-  return out;
+  return ridge_least_squares(v.data(), m, n, y, 1e-12);
 }
 
 double polyval(const RVec& coeffs, double x) {

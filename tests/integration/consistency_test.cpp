@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "array/weights.h"
 #include "channel/wideband.h"
@@ -89,10 +90,18 @@ TEST(Consistency, FullRunsAreDeterministic) {
   }
 }
 
+// gtest names each case after the raw bytes of its parameter, so the
+// struct carries no compiler padding: the bytes after the one-byte
+// modulation are explicit and zeroed, keeping the names the same from
+// build to build instead of exposing uninitialised stack memory.
 struct McsWaveformCase {
+  McsWaveformCase(phy::Modulation m, double snr_db)
+      : modulation(m), min_snr_db(snr_db) {}
   phy::Modulation modulation;
+  std::uint8_t reserved[7] = {};
   double min_snr_db;
 };
+static_assert(sizeof(McsWaveformCase) == 16, "no implicit padding");
 
 class McsWaveformTest : public ::testing::TestWithParam<McsWaveformCase> {};
 
