@@ -17,13 +17,13 @@
 #include "core/hierarchical_training.h"
 #include "core/multibeam.h"
 #include "core/probing.h"
+#include "sim/campaign_cli.h"
 #include "sim/scenario.h"
-#include "sweep_cli.h"
 
 using namespace mmr;
 
 int main(int argc, char** argv) {
-  const auto opts = bench::parse_sweep_cli(argc, argv);
+  auto opts = sim::parse_sweep_cli(argc, argv);
   sim::ScenarioConfig cfg;
   cfg.seed = 7;
   sim::LinkWorld world = sim::make_indoor_world(cfg);
@@ -147,19 +147,15 @@ int main(int argc, char** argv) {
     spec.label = [&ctrls](const sim::TrialContext& ctx) {
       return ctrls[ctx.index];
     };
-    const auto res = bench::run_campaign(spec, opts);
-    if (bench::distributed_mode(opts)) {
-      bench::emit_distributed(opts, spec.name, res);
-      bench::emit_json(spec.name, res);
-      return 0;
-    }
-    Table t({"controller", "reliability", "mean tput (Mbps)"});
-    for (std::size_t i = 0; i < ctrls.size(); ++i) {
-      t.add_row({ctrls[i], Table::num(res.trials[i].value.reliability, 3),
-                 Table::num(res.trials[i].value.mean_throughput_bps / 1e6, 0)});
-    }
-    t.print(std::cout);
-    bench::emit_json(spec.name, res);
+    sim::run_campaign(spec, opts, [&](const sim::EngineResult& res) {
+      Table t({"controller", "reliability", "mean tput (Mbps)"});
+      for (std::size_t i = 0; i < ctrls.size(); ++i) {
+        t.add_row({ctrls[i], Table::num(res.trials[i].value.reliability, 3),
+                   Table::num(
+                       res.trials[i].value.mean_throughput_bps / 1e6, 0)});
+      }
+      t.print(std::cout);
+    });
   }
   return 0;
 }

@@ -25,10 +25,10 @@
 #include "common/constants.h"
 #include "common/table.h"
 #include "common/units.h"
+#include "sim/campaign_cli.h"
 #include "sim/engine.h"
 #include "sim/faults.h"
 #include "sim/scenario.h"
-#include "sweep_cli.h"
 
 using namespace mmr;
 
@@ -76,7 +76,7 @@ SchemeStats stats_of(const sim::EngineResult& res, std::size_t scheme,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opts = bench::parse_sweep_cli(argc, argv);
+  auto opts = sim::parse_sweep_cli(argc, argv);
   const std::size_t reps = opts.trials > 0 ? opts.trials : 3;
   const std::uint64_t seed = opts.seed > 0 ? opts.seed : 13;
   // --faults NAME narrows the sweep to that one preset.
@@ -126,28 +126,18 @@ int main(int argc, char** argv) {
       return kSchemes[ctx.index / reps] + "/rep" +
              std::to_string(ctx.index % reps);
     };
-    const auto res = bench::run_campaign(spec, opts);
-
-    // Distributed roles still sweep EVERY preset campaign (each has its
-    // own journal) but skip the sample-dependent tables.
-    if (bench::distributed_mode(opts)) {
-      bench::emit_distributed(opts, spec.name, res);
-      bench::emit_json(spec.name, res);
-      continue;
-    }
-
-    std::printf("--- preset: %s ---\n", preset.c_str());
-    Table t({"scheme", "mean SNR (dB)", "reliability", "fault events"});
-    for (std::size_t s = 0; s < kSchemes.size(); ++s) {
-      const SchemeStats st = stats_of(res, s, reps);
-      t.add_row({kSchemes[s], Table::num(st.mean_snr_db, 2),
-                 Table::num(st.reliability, 4),
-                 Table::num(static_cast<double>(st.fault_events), 0)});
-    }
-    t.print(std::cout);
-    std::printf("\n");
-
-    bench::emit_json(spec.name, res);
+    sim::run_campaign(spec, opts, [&](const sim::EngineResult& res) {
+      std::printf("--- preset: %s ---\n", preset.c_str());
+      Table t({"scheme", "mean SNR (dB)", "reliability", "fault events"});
+      for (std::size_t s = 0; s < kSchemes.size(); ++s) {
+        const SchemeStats st = stats_of(res, s, reps);
+        t.add_row({kSchemes[s], Table::num(st.mean_snr_db, 2),
+                   Table::num(st.reliability, 4),
+                   Table::num(static_cast<double>(st.fault_events), 0)});
+      }
+      t.print(std::cout);
+      std::printf("\n");
+    });
   }
   std::printf("expected shape: mmReliable's mean SNR stays above the "
               "reactive baseline at every preset; the gap widens as the "

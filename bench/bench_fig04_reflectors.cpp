@@ -17,8 +17,8 @@
 #include "common/stats.h"
 #include "common/table.h"
 #include "common/units.h"
+#include "sim/campaign_cli.h"
 #include "sim/scenario.h"
-#include "sweep_cli.h"
 
 using namespace mmr;
 
@@ -101,7 +101,7 @@ void print_cdf(const char* label, const RVec& samples) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opts = bench::parse_sweep_cli(argc, argv);
+  auto opts = sim::parse_sweep_cli(argc, argv);
   std::printf("=== Fig. 4a: CDF of reflected-path relative attenuation ===\n");
   std::printf("(paper: 1-10 dB range; median 7.2 dB indoor, 5 dB outdoor)\n");
   Rng rng(2024);
@@ -162,19 +162,15 @@ int main(int argc, char** argv) {
     spec.label = [&rooms](const sim::TrialContext& ctx) {
       return rooms[ctx.index];
     };
-    const auto res = bench::run_campaign(spec, opts);
-    if (bench::distributed_mode(opts)) {
-      bench::emit_distributed(opts, spec.name, res);
-      bench::emit_json(spec.name, res);
-      return 0;
-    }
-    Table t({"scenario", "reliability", "mean tput (Mbps)"});
-    for (std::size_t i = 0; i < rooms.size(); ++i) {
-      t.add_row({rooms[i], Table::num(res.trials[i].value.reliability, 3),
-                 Table::num(res.trials[i].value.mean_throughput_bps / 1e6, 0)});
-    }
-    t.print(std::cout);
-    bench::emit_json(spec.name, res);
+    sim::run_campaign(spec, opts, [&](const sim::EngineResult& res) {
+      Table t({"scenario", "reliability", "mean tput (Mbps)"});
+      for (std::size_t i = 0; i < rooms.size(); ++i) {
+        t.add_row({rooms[i], Table::num(res.trials[i].value.reliability, 3),
+                   Table::num(
+                       res.trials[i].value.mean_throughput_bps / 1e6, 0)});
+      }
+      t.print(std::cout);
+    });
   }
   return 0;
 }

@@ -15,7 +15,7 @@
 #include "common/units.h"
 #include "core/delay_multibeam.h"
 #include "core/multibeam.h"
-#include "sweep_cli.h"
+#include "sim/campaign_cli.h"
 
 using namespace mmr;
 
@@ -64,7 +64,7 @@ Series evaluate(const std::vector<channel::Path>& paths,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opts = bench::parse_sweep_cli(argc, argv);
+  auto opts = sim::parse_sweep_cli(argc, argv);
   std::printf("=== Figs. 7-8: SNR across frequency, delay phased array ===\n");
   std::printf("(values in dB relative to a single beam on path 1)\n\n");
 
@@ -170,18 +170,13 @@ int main(int argc, char** argv) {
     spec.label = [&ctrls](const sim::TrialContext& ctx) {
       return ctrls[ctx.index];
     };
-    const auto res = bench::run_campaign(spec, opts);
-    if (bench::distributed_mode(opts)) {
-      bench::emit_distributed(opts, spec.name, res);
-      bench::emit_json(spec.name, res);
-      return 0;
-    }
-    for (std::size_t i = 0; i < ctrls.size(); ++i) {
-      std::printf("%16s: reliability %.3f, mean throughput %.0f Mbps\n",
-                  ctrls[i].c_str(), res.trials[i].value.reliability,
-                  res.trials[i].value.mean_throughput_bps / 1e6);
-    }
-    bench::emit_json(spec.name, res);
+    sim::run_campaign(spec, opts, [&](const sim::EngineResult& res) {
+      for (std::size_t i = 0; i < ctrls.size(); ++i) {
+        std::printf("%16s: reliability %.3f, mean throughput %.0f Mbps\n",
+                    ctrls[i].c_str(), res.trials[i].value.reliability,
+                    res.trials[i].value.mean_throughput_bps / 1e6);
+      }
+    });
   }
   return 0;
 }

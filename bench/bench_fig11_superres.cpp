@@ -12,7 +12,7 @@
 #include "common/units.h"
 #include "core/superres.h"
 #include "dsp/sinc.h"
-#include "sweep_cli.h"
+#include "sim/campaign_cli.h"
 
 using namespace mmr;
 
@@ -39,7 +39,7 @@ CVec synth_cir(std::size_t taps, const std::vector<cplx>& amps,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opts = bench::parse_sweep_cli(argc, argv);
+  auto opts = sim::parse_sweep_cli(argc, argv);
   std::printf("=== Fig. 11a: per-beam power MSE vs relative ToF ===\n");
   std::printf("(2-path CIR, second path -6 dB; system resolution 2.5 ns)\n");
   Rng rng(7);
@@ -105,17 +105,12 @@ int main(int argc, char** argv) {
     spec.run.duration_s = 0.2;
     spec.trials = opts.trials > 0 ? opts.trials : 3;
     spec.seed = opts.seed > 0 ? opts.seed : 5;
-    const auto res = bench::run_campaign(spec, opts);
-    if (bench::distributed_mode(opts)) {
-      bench::emit_distributed(opts, spec.name, res);
-      bench::emit_json(spec.name, res);
-      return 0;
-    }
-    std::printf("%zu rooms: median reliability %.3f, median throughput "
-                "%.0f Mbps\n", spec.trials,
-                res.aggregate.median_reliability,
-                res.aggregate.median_throughput_bps / 1e6);
-    bench::emit_json(spec.name, res);
+    sim::run_campaign(spec, opts, [&](const sim::EngineResult& res) {
+      std::printf("%zu rooms: median reliability %.3f, median throughput "
+                  "%.0f Mbps\n", spec.trials,
+                  res.aggregate.median_reliability,
+                  res.aggregate.median_throughput_bps / 1e6);
+    });
   }
   return 0;
 }

@@ -19,15 +19,15 @@
 #include "core/beam_training.h"
 #include "core/multibeam.h"
 #include "core/probing.h"
+#include "sim/campaign_cli.h"
 #include "sim/runner.h"
 #include "sim/scenario.h"
 #include "sim/sweep.h"
-#include "sweep_cli.h"
 
 using namespace mmr;
 
 int main(int argc, char** argv) {
-  const auto opts = bench::parse_sweep_cli(argc, argv);
+  auto opts = sim::parse_sweep_cli(argc, argv);
   sim::ScenarioConfig cfg;
   cfg.seed = 7;
   sim::LinkWorld world = sim::make_indoor_world(cfg);
@@ -156,18 +156,13 @@ int main(int argc, char** argv) {
     spec.run.duration_s = 0.5;
     spec.trials = opts.trials > 0 ? opts.trials : 8;
     spec.seed = opts.seed > 0 ? opts.seed : 7;
-    const auto res = bench::run_campaign(spec, opts);
-    if (bench::distributed_mode(opts)) {
-      bench::emit_distributed(opts, spec.name, res);
-      bench::emit_json(spec.name, res);
-      return 0;
-    }
-    std::printf("%zu rooms: median throughput %.0f Mbps, median reliability "
-                "%.3f (sweep %.2f s wall, %.2fx speedup with %zu jobs)\n",
-                spec.trials, res.aggregate.median_throughput_bps / 1e6,
-                res.aggregate.median_reliability, res.timing.wall_s,
-                res.timing.speedup(), res.timing.jobs);
-    bench::emit_json(spec.name, res);
+    sim::run_campaign(spec, opts, [&](const sim::EngineResult& res) {
+      std::printf("%zu rooms: median throughput %.0f Mbps, median reliability "
+                  "%.3f (sweep %.2f s wall, %.2fx speedup with %zu jobs)\n",
+                  spec.trials, res.aggregate.median_throughput_bps / 1e6,
+                  res.aggregate.median_reliability, res.timing.wall_s,
+                  res.timing.speedup(), res.timing.jobs);
+    });
   }
   return 0;
 }

@@ -13,9 +13,9 @@
 
 #include "common/constants.h"
 #include "common/table.h"
+#include "sim/campaign_cli.h"
 #include "sim/engine.h"
 #include "sim/scenario.h"
-#include "sweep_cli.h"
 
 using namespace mmr;
 
@@ -43,7 +43,7 @@ Trace trace_of(const std::vector<core::LinkSample>& samples) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opts = bench::parse_sweep_cli(argc, argv);
+  auto opts = sim::parse_sweep_cli(argc, argv);
   const std::size_t reps = opts.trials > 0 ? opts.trials : 1;
   const std::uint64_t seed = opts.seed > 0 ? opts.seed : 13;
 
@@ -88,51 +88,44 @@ int main(int argc, char** argv) {
     return std::string(ctx.index < reps ? "multi" : "single") + "/rep" +
            std::to_string(ctx.index % reps);
   };
-  const auto res = bench::run_campaign(spec, opts);
-  // Shard workers / the merger have no per-tick samples to tabulate.
-  if (bench::distributed_mode(opts)) {
-    bench::emit_distributed(opts, spec.name, res);
-    bench::emit_json(spec.name, res);
-    return 0;
-  }
+  sim::run_campaign(spec, opts, [&](const sim::EngineResult& res) {
+    const Trace tr_multi = trace_of(res.samples[0]);
+    const Trace tr_single = trace_of(res.samples[reps]);
 
-  const Trace tr_multi = trace_of(res.samples[0]);
-  const Trace tr_single = trace_of(res.samples[reps]);
-
-  std::printf("%8s %14s %14s\n", "t (ms)", "single (dB)", "multi (dB)");
-  for (std::size_t i = 0; i < tr_multi.t_ms.size(); i += 10) {
-    std::printf("%8.0f %14.1f %14.1f\n", tr_multi.t_ms[i], tr_single.snr_db[i],
-                tr_multi.snr_db[i]);
-  }
-
-  // Baseline SNR taken well before the blocker arrives (t = 0.15 s).
-  const double base_single = tr_single.snr_db[60];
-  const double base_multi = tr_multi.snr_db[60];
-  Table t({"link", "baseline SNR (dB)", "min SNR (dB)", "max drop (dB)",
-           "outage ticks", "paper drop (dB)"});
-  t.add_row({"single beam", Table::num(base_single, 1),
-             Table::num(tr_single.min_snr, 1),
-             Table::num(base_single - tr_single.min_snr, 1),
-             Table::num(tr_single.outage_ticks, 0), "26"});
-  t.add_row({"multi-beam", Table::num(base_multi, 1),
-             Table::num(tr_multi.min_snr, 1),
-             Table::num(base_multi - tr_multi.min_snr, 1),
-             Table::num(tr_multi.outage_ticks, 0), "7"});
-  std::printf("\n");
-  t.print(std::cout);
-  if (reps > 1) {
-    int multi_outage_reps = 0, single_outage_reps = 0;
-    for (std::size_t rep = 0; rep < reps; ++rep) {
-      multi_outage_reps += trace_of(res.samples[rep]).outage_ticks > 0;
-      single_outage_reps += trace_of(res.samples[reps + rep]).outage_ticks > 0;
+    std::printf("%8s %14s %14s\n", "t (ms)", "single (dB)", "multi (dB)");
+    for (std::size_t i = 0; i < tr_multi.t_ms.size(); i += 10) {
+      std::printf("%8.0f %14.1f %14.1f\n", tr_multi.t_ms[i],
+                  tr_single.snr_db[i], tr_multi.snr_db[i]);
     }
-    std::printf("Monte-Carlo over %zu crossings: single-beam outage in "
-                "%d/%zu reps, multi-beam in %d/%zu reps\n", reps,
-                single_outage_reps, reps, multi_outage_reps, reps);
-  }
-  std::printf("paper shape: single-beam drop is deep (outage); multi-beam "
-              "drop is the blocked beam's share only (no outage).\n");
 
-  bench::emit_json(spec.name, res);
+    // Baseline SNR taken well before the blocker arrives (t = 0.15 s).
+    const double base_single = tr_single.snr_db[60];
+    const double base_multi = tr_multi.snr_db[60];
+    Table t({"link", "baseline SNR (dB)", "min SNR (dB)", "max drop (dB)",
+             "outage ticks", "paper drop (dB)"});
+    t.add_row({"single beam", Table::num(base_single, 1),
+               Table::num(tr_single.min_snr, 1),
+               Table::num(base_single - tr_single.min_snr, 1),
+               Table::num(tr_single.outage_ticks, 0), "26"});
+    t.add_row({"multi-beam", Table::num(base_multi, 1),
+               Table::num(tr_multi.min_snr, 1),
+               Table::num(base_multi - tr_multi.min_snr, 1),
+               Table::num(tr_multi.outage_ticks, 0), "7"});
+    std::printf("\n");
+    t.print(std::cout);
+    if (reps > 1) {
+      int multi_outage_reps = 0, single_outage_reps = 0;
+      for (std::size_t rep = 0; rep < reps; ++rep) {
+        multi_outage_reps += trace_of(res.samples[rep]).outage_ticks > 0;
+        single_outage_reps +=
+            trace_of(res.samples[reps + rep]).outage_ticks > 0;
+      }
+      std::printf("Monte-Carlo over %zu crossings: single-beam outage in "
+                  "%d/%zu reps, multi-beam in %d/%zu reps\n", reps,
+                  single_outage_reps, reps, multi_outage_reps, reps);
+    }
+    std::printf("paper shape: single-beam drop is deep (outage); multi-beam "
+                "drop is the blocked beam's share only (no outage).\n");
+  });
   return 0;
 }

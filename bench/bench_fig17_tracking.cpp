@@ -20,10 +20,10 @@
 #include "core/superres.h"
 #include "core/tracking.h"
 #include "phy/estimator.h"
+#include "sim/campaign_cli.h"
 #include "sim/runner.h"
 #include "sim/scenario.h"
 #include "sim/sweep.h"
-#include "sweep_cli.h"
 
 using namespace mmr;
 
@@ -40,7 +40,7 @@ std::vector<channel::Path> rotated(const std::vector<channel::Path>& paths,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opts = bench::parse_sweep_cli(argc, argv);
+  auto opts = sim::parse_sweep_cli(argc, argv);
   sim::ScenarioConfig cfg;
   cfg.seed = opts.seed > 0 ? opts.seed : 11;
   // Controlled 2-path channel for the tracking micro-benchmarks: the
@@ -170,32 +170,25 @@ int main(int argc, char** argv) {
     spec.label = [&variants](const sim::TrialContext& ctx) {
       return std::string(variants[ctx.index].name);
     };
-    const auto res = bench::run_campaign(spec, opts);
-    if (bench::distributed_mode(opts)) {
-      bench::emit_distributed(opts, spec.name, res);
-      bench::emit_json(spec.name, res);
-      return 0;
-    }
-
-    Table t({"scheme", "mean tput (Mbps)", "min tput (Mbps)",
-             "end-of-run tput (Mbps)"});
-    for (std::size_t i = 0; i < variants.size(); ++i) {
-      double min_tput = 1e18, end_tput = 0.0;
-      for (const auto& s : res.samples[i]) {
-        if (s.t_s > 0.1) min_tput = std::min(min_tput, s.throughput_bps);
-        if (s.t_s > 0.9) end_tput = std::max(end_tput, s.throughput_bps);
+    sim::run_campaign(spec, opts, [&](const sim::EngineResult& res) {
+      Table t({"scheme", "mean tput (Mbps)", "min tput (Mbps)",
+               "end-of-run tput (Mbps)"});
+      for (std::size_t i = 0; i < variants.size(); ++i) {
+        double min_tput = 1e18, end_tput = 0.0;
+        for (const auto& s : res.samples[i]) {
+          if (s.t_s > 0.1) min_tput = std::min(min_tput, s.throughput_bps);
+          if (s.t_s > 0.9) end_tput = std::max(end_tput, s.throughput_bps);
+        }
+        t.add_row({variants[i].name,
+                   Table::num(res.trials[i].value.mean_throughput_bps / 1e6, 0),
+                   Table::num(min_tput / 1e6, 0),
+                   Table::num(end_tput / 1e6, 0)});
       }
-      t.add_row({variants[i].name,
-                 Table::num(res.trials[i].value.mean_throughput_bps / 1e6, 0),
-                 Table::num(min_tput / 1e6, 0),
-                 Table::num(end_tput / 1e6, 0)});
-    }
-    t.print(std::cout);
-    std::printf("paper shape: without tracking throughput collapses by the "
-                "end of the run; tracking+CC holds it; dropping CC costs "
-                "on the order of 100 Mbps.\n");
-
-    bench::emit_json(spec.name, res);
+      t.print(std::cout);
+      std::printf("paper shape: without tracking throughput collapses by the "
+                  "end of the run; tracking+CC holds it; dropping CC costs "
+                  "on the order of 100 Mbps.\n");
+    });
   }
   return 0;
 }

@@ -15,8 +15,8 @@
 
 #include "common/stats.h"
 #include "common/table.h"
+#include "sim/campaign_cli.h"
 #include "sim/engine.h"
-#include "sweep_cli.h"
 
 using namespace mmr;
 
@@ -42,7 +42,7 @@ constexpr double kTightTxPowerDbm = 14.0;
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opts = bench::parse_sweep_cli(argc, argv);
+  auto opts = sim::parse_sweep_cli(argc, argv);
   const std::size_t runs = opts.trials > 0 ? opts.trials : 20;
   const std::uint64_t seed = opts.seed > 0 ? opts.seed : 100;
   const auto all = schemes();
@@ -75,14 +75,7 @@ int main(int argc, char** argv) {
       return std::string(all[ctx.index / 3].name) + "/" +
              std::to_string(ctx.index % 3) + "b";
     };
-    const auto res = bench::run_campaign(spec, opts);
-
-    // A shard worker / merger runs BOTH campaigns (each has its own
-    // journal) but skips the per-scheme tables: a shard's non-owned
-    // slots hold default summaries.
-    if (bench::distributed_mode(opts)) {
-      bench::emit_distributed(opts, spec.name, res);
-    } else {
+    sim::run_campaign(spec, opts, [&](const sim::EngineResult& res) {
       Table t({"scheme", "0 blockers (Mbps)", "1 blocker (Mbps)",
                "2 blockers (Mbps)", "drop w/ 2 (%)"});
       for (std::size_t s = 0; s < all.size(); ++s) {
@@ -98,8 +91,7 @@ int main(int argc, char** argv) {
       t.print(std::cout);
       std::printf("paper shape: mmReliable loses only a few %% with two "
                   "blockers; single-beam baselines lose far more.\n");
-    }
-    bench::emit_json(spec.name, res);
+    });
   }
 
   std::printf("\n=== Fig. 18b/c: mobile links with blockage (%zu runs per "
@@ -145,42 +137,36 @@ int main(int argc, char** argv) {
       return std::string(all[ctx.index / runs].name) + "/run" +
              std::to_string(ctx.index % runs);
     };
-    const auto res = bench::run_campaign(spec, opts);
-
-    if (bench::distributed_mode(opts)) {
-      bench::emit_distributed(opts, spec.name, res);
-      bench::emit_json(spec.name, res);
-      return 0;
-    }
-    Table t({"scheme", "reliability p25", "median", "p75",
-             "mean tput (Mbps)", "T x R product (Mbps)"});
-    double mmr_trp = 0.0, reactive_trp = 0.0;
-    for (std::size_t s = 0; s < all.size(); ++s) {
-      RVec rel, tput, trp;
-      for (std::size_t run = 0; run < runs; ++run) {
-        const auto& summary = res.trials[s * runs + run].value;
-        rel.push_back(summary.reliability);
-        tput.push_back(summary.mean_throughput_bps / 1e6);
-        trp.push_back(summary.throughput_reliability_product / 1e6);
+    sim::run_campaign(spec, opts, [&](const sim::EngineResult& res) {
+      Table t({"scheme", "reliability p25", "median", "p75",
+               "mean tput (Mbps)", "T x R product (Mbps)"});
+      double mmr_trp = 0.0, reactive_trp = 0.0;
+      for (std::size_t s = 0; s < all.size(); ++s) {
+        RVec rel, tput, trp;
+        for (std::size_t run = 0; run < runs; ++run) {
+          const auto& summary = res.trials[s * runs + run].value;
+          rel.push_back(summary.reliability);
+          tput.push_back(summary.mean_throughput_bps / 1e6);
+          trp.push_back(summary.throughput_reliability_product / 1e6);
+        }
+        const double trp_mean = mean(trp);
+        if (std::string(all[s].name) == "mmReliable") mmr_trp = trp_mean;
+        if (std::string(all[s].name) == "reactive") reactive_trp = trp_mean;
+        t.add_row({all[s].name, Table::num(percentile(rel, 25.0), 3),
+                   Table::num(median(rel), 3),
+                   Table::num(percentile(rel, 75.0), 3),
+                   Table::num(mean(tput), 0), Table::num(trp_mean, 0)});
       }
-      const double trp_mean = mean(trp);
-      if (std::string(all[s].name) == "mmReliable") mmr_trp = trp_mean;
-      if (std::string(all[s].name) == "reactive") reactive_trp = trp_mean;
-      t.add_row({all[s].name, Table::num(percentile(rel, 25.0), 3),
-                 Table::num(median(rel), 3),
-                 Table::num(percentile(rel, 75.0), 3),
-                 Table::num(mean(tput), 0), Table::num(trp_mean, 0)});
-    }
-    t.print(std::cout);
-    std::printf("\nthroughput-reliability product: mmReliable / reactive = "
-                "%.2fx (paper: 2.3x)\n", mmr_trp / reactive_trp);
-    std::printf("paper shape: mmReliable reliability near 1.0 and the "
-                "highest T x R product; reactive and widebeam trail.\n");
-    std::printf("sweep wall-clock %.2f s vs %.2f s serial-equivalent: "
-                "%.2fx speedup with %zu jobs\n", res.timing.wall_s,
-                res.timing.serial_equivalent_s,
-                res.timing.speedup(), res.timing.jobs);
-    bench::emit_json(spec.name, res);
+      t.print(std::cout);
+      std::printf("\nthroughput-reliability product: mmReliable / reactive = "
+                  "%.2fx (paper: 2.3x)\n", mmr_trp / reactive_trp);
+      std::printf("paper shape: mmReliable reliability near 1.0 and the "
+                  "highest T x R product; reactive and widebeam trail.\n");
+      std::printf("sweep wall-clock %.2f s vs %.2f s serial-equivalent: "
+                  "%.2fx speedup with %zu jobs\n", res.timing.wall_s,
+                  res.timing.serial_equivalent_s,
+                  res.timing.speedup(), res.timing.jobs);
+    });
   }
   return 0;
 }

@@ -8,12 +8,12 @@
 
 #include "common/table.h"
 #include "phy/reference_signals.h"
-#include "sweep_cli.h"
+#include "sim/campaign_cli.h"
 
 using namespace mmr;
 
 int main(int argc, char** argv) {
-  const auto opts = bench::parse_sweep_cli(argc, argv);
+  auto opts = sim::parse_sweep_cli(argc, argv);
   const phy::ReferenceSignalConfig rs;
   std::printf("=== Fig. 18d: probing overhead vs number of antennas ===\n");
   Table t({"antennas", "5G NR fast scan (ms)", "mmReliable 2-beam (ms)",
@@ -70,18 +70,13 @@ int main(int argc, char** argv) {
     spec.label = [](const sim::TrialContext& ctx) {
       return std::to_string(ctx.index == 0 ? 2 : 3) + "-beam";
     };
-    const auto res = bench::run_campaign(spec, opts);
-    if (bench::distributed_mode(opts)) {
-      bench::emit_distributed(opts, spec.name, res);
-      bench::emit_json(spec.name, res);
-      return 0;
-    }
-    for (std::size_t i = 0; i < res.trials.size(); ++i) {
-      std::printf("%zu-beam: reliability %.3f, mean throughput %.0f Mbps\n",
-                  i + 2, res.trials[i].value.reliability,
-                  res.trials[i].value.mean_throughput_bps / 1e6);
-    }
-    bench::emit_json(spec.name, res);
+    sim::run_campaign(spec, opts, [&](const sim::EngineResult& res) {
+      for (std::size_t i = 0; i < res.trials.size(); ++i) {
+        std::printf("%zu-beam: reliability %.3f, mean throughput %.0f Mbps\n",
+                    i + 2, res.trials[i].value.reliability,
+                    res.trials[i].value.mean_throughput_bps / 1e6);
+      }
+    });
   }
   return 0;
 }

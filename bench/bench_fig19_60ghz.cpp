@@ -16,7 +16,7 @@
 #include "core/multibeam.h"
 #include "phy/link_budget.h"
 #include "phy/mcs.h"
-#include "sweep_cli.h"
+#include "sim/campaign_cli.h"
 
 using namespace mmr;
 
@@ -87,7 +87,7 @@ CarrierResult evaluate(double carrier_hz, const channel::Material& material,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opts = bench::parse_sweep_cli(argc, argv);
+  auto opts = sim::parse_sweep_cli(argc, argv);
   std::printf("=== Fig. 19: multi-beam gain at 28 GHz vs 60 GHz ===\n");
   std::printf("(10 m link, side reflector, 10%% LOS blockage)\n\n");
   Table t({"carrier", "reflector", "single-beam (Mbps)", "multi-beam (Mbps)",
@@ -147,18 +147,13 @@ int main(int argc, char** argv) {
     spec.label = [&ctrls](const sim::TrialContext& ctx) {
       return ctrls[ctx.index];
     };
-    const auto res = bench::run_campaign(spec, opts);
-    if (bench::distributed_mode(opts)) {
-      bench::emit_distributed(opts, spec.name, res);
-      bench::emit_json(spec.name, res);
-      return 0;
-    }
-    for (std::size_t i = 0; i < ctrls.size(); ++i) {
-      std::printf("%12s: reliability %.3f, mean throughput %.0f Mbps\n",
-                  ctrls[i].c_str(), res.trials[i].value.reliability,
-                  res.trials[i].value.mean_throughput_bps / 1e6);
-    }
-    bench::emit_json(spec.name, res);
+    sim::run_campaign(spec, opts, [&](const sim::EngineResult& res) {
+      for (std::size_t i = 0; i < ctrls.size(); ++i) {
+        std::printf("%12s: reliability %.3f, mean throughput %.0f Mbps\n",
+                    ctrls[i].c_str(), res.trials[i].value.reliability,
+                    res.trials[i].value.mean_throughput_bps / 1e6);
+      }
+    });
   }
   return 0;
 }

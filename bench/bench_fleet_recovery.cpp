@@ -23,10 +23,10 @@
 #include <string>
 #include <vector>
 
+#include "sim/campaign_cli.h"
 #include "sim/engine.h"
 #include "sim/journal.h"
 #include "sim/shard.h"
-#include "sweep_cli.h"
 
 #ifdef __unix__
 
@@ -80,11 +80,11 @@ void drain_queue(const sim::ExperimentSpec& spec, const std::string& base,
       continue;
     }
     sim::ShardLeaseKeeper keeper(qdir, *plan, lease);
-    bench::SweepCliOptions opts;
+    sim::SweepCliOptions opts;
     opts.resume = base;
     opts.shard = *plan;
     opts.freeze_timing = true;
-    (void)bench::run_campaign(spec, opts);
+    (void)sim::run_campaign(spec, opts);
   }
 }
 
@@ -125,11 +125,11 @@ RecoveryResult run_fleet(double ttl_s, std::size_t trials) {
     const auto plan = sim::ShardQueue::claim(qdir, lease);
     if (!plan.has_value()) ::_exit(3);
     sim::ShardLeaseKeeper keeper(qdir, *plan, lease);
-    bench::SweepCliOptions opts;
+    sim::SweepCliOptions opts;
     opts.resume = base;
     opts.shard = *plan;
     opts.freeze_timing = true;
-    (void)bench::run_campaign(dying, opts);
+    (void)sim::run_campaign(dying, opts);
     ::_exit(0);
   }
 
@@ -170,7 +170,7 @@ RecoveryResult run_fleet(double ttl_s, std::size_t trials) {
 
   {
     const sim::LoadedJournal lj = sim::read_journal_file(
-        base + "." + spec.name + "." + shard0.suffix() + ".journal");
+        sim::shard_journal_path(base, spec.name, shard0));
     result.victim_checkpointed = 1;  // trial 0, by construction
     if (!lj.seal_intact()) {
       std::fprintf(stderr, "fleet_recovery: shard 0 never sealed\n");
@@ -179,10 +179,10 @@ RecoveryResult run_fleet(double ttl_s, std::size_t trials) {
   }
 
   // The recovered fleet's journals must still merge into a full replay.
-  bench::SweepCliOptions merge_opts;
+  sim::SweepCliOptions merge_opts;
   merge_opts.merge = base;
   merge_opts.freeze_timing = true;
-  const sim::EngineResult merged = bench::run_campaign(spec, merge_opts);
+  const sim::EngineResult merged = sim::run_campaign(spec, merge_opts);
   result.merged_trials = merged.trials.size();
 
   std::string cmd = "rm -rf '" + dir + "'";
@@ -193,7 +193,7 @@ RecoveryResult run_fleet(double ttl_s, std::size_t trials) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opts = bench::parse_sweep_cli(argc, argv);
+  const auto opts = sim::parse_sweep_cli(argc, argv);
   const std::size_t trials = opts.trials > 0 ? opts.trials : 16;
 
   for (const double ttl_s : {0.25, 0.5, 1.0, 2.0}) {

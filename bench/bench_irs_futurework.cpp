@@ -12,8 +12,8 @@
 #include <iostream>
 
 #include "common/table.h"
+#include "sim/campaign_cli.h"
 #include "sim/engine.h"
-#include "sweep_cli.h"
 
 using namespace mmr;
 
@@ -40,7 +40,7 @@ Outcome outcome_of(const core::LinkSummary& summary,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opts = bench::parse_sweep_cli(argc, argv);
+  auto opts = sim::parse_sweep_cli(argc, argv);
   std::printf("=== Section 8 future work: engineered reflections (IRS) ===\n");
   std::printf("(reflection-poor wooden room, LOS blocked ~0.25-0.75 s)\n\n");
 
@@ -64,24 +64,18 @@ int main(int argc, char** argv) {
   spec.label = [](const sim::TrialContext& ctx) {
     return std::string(ctx.index == 0 ? "natural" : "irs_60db");
   };
-  const auto res = bench::run_campaign(spec, opts);
-  if (bench::distributed_mode(opts)) {
-    bench::emit_distributed(opts, spec.name, res);
-    bench::emit_json(spec.name, res);
-    return 0;
-  }
-
-  Table t({"deployment", "reliability", "mean tput (Mbps)",
-           "min SNR during blockage (dB)"});
-  const Outcome bare = outcome_of(res.trials[0].value, res.samples[0]);
-  const Outcome irs = outcome_of(res.trials[1].value, res.samples[1]);
-  t.add_row({"natural reflectors only", Table::num(bare.reliability, 3),
-             Table::num(bare.tput_mbps, 0), Table::num(bare.min_snr, 1)});
-  t.add_row({"one 60 dB IRS panel", Table::num(irs.reliability, 3),
-             Table::num(irs.tput_mbps, 0), Table::num(irs.min_snr, 1)});
-  t.print(std::cout);
-  std::printf("\npaper vision: IRS panels engineer the strong reflections\n"
-              "multi-beam needs where the environment provides none.\n");
-  bench::emit_json(spec.name, res);
+  sim::run_campaign(spec, opts, [&](const sim::EngineResult& res) {
+    Table t({"deployment", "reliability", "mean tput (Mbps)",
+             "min SNR during blockage (dB)"});
+    const Outcome bare = outcome_of(res.trials[0].value, res.samples[0]);
+    const Outcome irs = outcome_of(res.trials[1].value, res.samples[1]);
+    t.add_row({"natural reflectors only", Table::num(bare.reliability, 3),
+               Table::num(bare.tput_mbps, 0), Table::num(bare.min_snr, 1)});
+    t.add_row({"one 60 dB IRS panel", Table::num(irs.reliability, 3),
+               Table::num(irs.tput_mbps, 0), Table::num(irs.min_snr, 1)});
+    t.print(std::cout);
+    std::printf("\npaper vision: IRS panels engineer the strong reflections\n"
+                "multi-beam needs where the environment provides none.\n");
+  });
   return 0;
 }

@@ -10,7 +10,7 @@
 #include "common/units.h"
 #include "core/multi_user.h"
 #include "phy/mcs.h"
-#include "sweep_cli.h"
+#include "sim/campaign_cli.h"
 
 using namespace mmr;
 
@@ -30,7 +30,7 @@ core::UserChannel make_user(std::vector<double> angles_deg,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opts = bench::parse_sweep_cli(argc, argv);
+  auto opts = sim::parse_sweep_cli(argc, argv);
   const array::Ula ula{16, 0.5};
   const phy::McsTable& mcs = phy::McsTable::nr();
   const double noise = 1e-3;
@@ -88,18 +88,13 @@ int main(int argc, char** argv) {
     spec.label = [&ctrls](const sim::TrialContext& ctx) {
       return ctrls[ctx.index];
     };
-    const auto res = bench::run_campaign(spec, opts);
-    if (bench::distributed_mode(opts)) {
-      bench::emit_distributed(opts, spec.name, res);
-      bench::emit_json(spec.name, res);
-      return 0;
-    }
-    for (std::size_t i = 0; i < ctrls.size(); ++i) {
-      std::printf("%12s: reliability %.3f, mean throughput %.0f Mbps\n",
-                  ctrls[i].c_str(), res.trials[i].value.reliability,
-                  res.trials[i].value.mean_throughput_bps / 1e6);
-    }
-    bench::emit_json(spec.name, res);
+    sim::run_campaign(spec, opts, [&](const sim::EngineResult& res) {
+      for (std::size_t i = 0; i < ctrls.size(); ++i) {
+        std::printf("%12s: reliability %.3f, mean throughput %.0f Mbps\n",
+                    ctrls[i].c_str(), res.trials[i].value.reliability,
+                    res.trials[i].value.mean_throughput_bps / 1e6);
+      }
+    });
   }
   return 0;
 }

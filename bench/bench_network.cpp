@@ -12,7 +12,7 @@
 // beam keeps the link Up -- so its network availability and reliability
 // CDFs dominate.
 //
-// On top of the shared sweep flags (sweep_cli.h), the bench adds:
+// On top of the shared sweep flags (sim/campaign_cli.h), the bench adds:
 //   --cells N            base stations on a line (default 3)
 //   --ues-per-cell N     sessions per cell (default 2)
 //   --cell-spacing-m X   distance between neighboring cells (default 40)
@@ -24,7 +24,6 @@
 // narrows the sweep to one scheme; --scenario swaps the crowd template
 // (default indoor_crowd).
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -36,8 +35,9 @@
 #include "common/table.h"
 #include "net/campaign.h"
 #include "net/network.h"
+#include "sim/campaign_cli.h"
 #include "sim/faults.h"
-#include "sweep_cli.h"
+#include "sim/telemetry.h"
 
 using namespace mmr;
 
@@ -78,39 +78,35 @@ int main(int argc, char** argv) {
   net::register_net_builtins();
   NetworkCliOptions net_opts;
   auto extra = [&net_opts](int& i, int argc_in, char** argv_in) -> bool {
-    auto value_of = [&](const char* flag) -> const char* {
-      const std::size_t len = std::strlen(flag);
-      if (std::strncmp(argv_in[i], flag, len) == 0) {
-        if (argv_in[i][len] == '=') return argv_in[i] + len + 1;
-        if (argv_in[i][len] == '\0' && i + 1 < argc_in) return argv_in[++i];
-      }
-      return nullptr;
+    auto flag_arg = [&](const char* flag) {
+      return sim::flag_value(i, argc_in, argv_in, flag);
     };
-    if (const char* v = value_of("--cells")) {
-      net_opts.cells = bench::detail::require_size("--cells", v, argv_in[0]);
+    if (const char* v = flag_arg("--cells")) {
+      net_opts.cells = sim::require_size("--cells", v, argv_in[0]);
       return true;
     }
-    if (const char* v = value_of("--ues-per-cell")) {
+    if (const char* v = flag_arg("--ues-per-cell")) {
       net_opts.ues_per_cell =
-          bench::detail::require_size("--ues-per-cell", v, argv_in[0]);
+          sim::require_size("--ues-per-cell", v, argv_in[0]);
       return true;
     }
-    if (const char* v = value_of("--cell-spacing-m")) {
+    if (const char* v = flag_arg("--cell-spacing-m")) {
       net_opts.cell_spacing_m =
-          bench::detail::require_f64("--cell-spacing-m", v, argv_in[0]);
+          sim::require_f64("--cell-spacing-m", v, argv_in[0]);
       return true;
     }
-    if (const char* v = value_of("--network-json-out")) {
+    if (const char* v = flag_arg("--network-json-out")) {
       net_opts.network_json_out = v;
       return true;
     }
     return false;
   };
-  const auto opts = bench::parse_sweep_cli(
+  const auto opts = sim::parse_sweep_cli(
       argc, argv, extra,
       "          [--cells N] [--ues-per-cell N] [--cell-spacing-m X]\n"
       "          [--network-json-out FILE]");
-  if (bench::distributed_mode(opts) || !opts.shard_queue.empty()) {
+  if (opts.shard.enabled() || !opts.shard_queue.empty() ||
+      !opts.merge.empty()) {
     std::fprintf(stderr,
                  "%s: --shard/--shard-queue/--merge apply only to "
                  "trial-campaign benches; the network campaign has no "

@@ -12,7 +12,7 @@
 #include "common/table.h"
 #include "common/units.h"
 #include "core/multibeam.h"
-#include "sweep_cli.h"
+#include "sim/campaign_cli.h"
 
 using namespace mmr;
 
@@ -51,7 +51,7 @@ double simulated_gain_db(double delta, double sigma) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opts = bench::parse_sweep_cli(argc, argv);
+  auto opts = sim::parse_sweep_cli(argc, argv);
   std::printf("=== Multi-beam SNR law: gain = 1 + delta^2 (Eq. 9) ===\n");
   Table t({"delta (dB)", "theory gain (dB)", "simulated gain (dB)", "error"});
   for (double delta_db : {-20.0, -10.0, -6.0, -3.0, -1.0, 0.0}) {
@@ -97,20 +97,15 @@ int main(int argc, char** argv) {
     spec.label = [&ctrls](const sim::TrialContext& ctx) {
       return ctrls[ctx.index];
     };
-    const auto res = bench::run_campaign(spec, opts);
-    if (bench::distributed_mode(opts)) {
-      bench::emit_distributed(opts, spec.name, res);
-      bench::emit_json(spec.name, res);
-      return 0;
-    }
-    for (std::size_t i = 0; i < ctrls.size(); ++i) {
-      std::printf("%14s: spectral efficiency %.2f bit/s/Hz, "
-                  "mean throughput %.0f Mbps\n",
-                  ctrls[i].c_str(),
-                  res.trials[i].value.mean_spectral_efficiency,
-                  res.trials[i].value.mean_throughput_bps / 1e6);
-    }
-    bench::emit_json(spec.name, res);
+    sim::run_campaign(spec, opts, [&](const sim::EngineResult& res) {
+      for (std::size_t i = 0; i < ctrls.size(); ++i) {
+        std::printf("%14s: spectral efficiency %.2f bit/s/Hz, "
+                    "mean throughput %.0f Mbps\n",
+                    ctrls[i].c_str(),
+                    res.trials[i].value.mean_spectral_efficiency,
+                    res.trials[i].value.mean_throughput_bps / 1e6);
+      }
+    });
   }
   return 0;
 }

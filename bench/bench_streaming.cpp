@@ -10,7 +10,7 @@
 // throughput -- with the process RSS sampled at every boundary so the
 // flat-memory claim is recorded next to the statistics it buys.
 //
-// On top of the shared sweep flags (sweep_cli.h), the bench adds:
+// On top of the shared sweep flags (sim/campaign_cli.h), the bench adds:
 //   --sessions N         initial live sessions (default 1000)
 //   --duration-s X       shared-timeline horizon (default 1.0)
 //   --snapshot-every-s X snapshot cadence (default 0.1)
@@ -35,7 +35,6 @@
 // summary's rss fields zeroed, because RSS is machine state like wall
 // clock (thread stacks alone shift VmRSS across jobs counts).
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -45,8 +44,8 @@
 #include "common/atomic_file.h"
 #include "common/table.h"
 #include "net/network.h"
+#include "sim/campaign_cli.h"
 #include "sim/streaming.h"
-#include "sweep_cli.h"
 
 using namespace mmr;
 
@@ -123,78 +122,74 @@ int main(int argc, char** argv) {
   net::register_net_builtins();
   StreamingCliOptions st;
   auto extra = [&st](int& i, int argc_in, char** argv_in) -> bool {
-    auto value_of = [&](const char* flag) -> const char* {
-      const std::size_t len = std::strlen(flag);
-      if (std::strncmp(argv_in[i], flag, len) == 0) {
-        if (argv_in[i][len] == '=') return argv_in[i] + len + 1;
-        if (argv_in[i][len] == '\0' && i + 1 < argc_in) return argv_in[++i];
-      }
-      return nullptr;
+    auto flag_arg = [&](const char* flag) {
+      return sim::flag_value(i, argc_in, argv_in, flag);
     };
-    if (const char* v = value_of("--sessions")) {
-      st.sessions = bench::detail::require_size("--sessions", v, argv_in[0]);
+    if (const char* v = flag_arg("--sessions")) {
+      st.sessions = sim::require_size("--sessions", v, argv_in[0]);
       return true;
     }
-    if (const char* v = value_of("--duration-s")) {
-      st.duration_s = bench::detail::require_f64("--duration-s", v, argv_in[0]);
+    if (const char* v = flag_arg("--duration-s")) {
+      st.duration_s = sim::require_f64("--duration-s", v, argv_in[0]);
       return true;
     }
-    if (const char* v = value_of("--snapshot-every-s")) {
+    if (const char* v = flag_arg("--snapshot-every-s")) {
       st.snapshot_every_s =
-          bench::detail::require_f64("--snapshot-every-s", v, argv_in[0]);
+          sim::require_f64("--snapshot-every-s", v, argv_in[0]);
       return true;
     }
-    if (const char* v = value_of("--churn-rate")) {
-      st.churn_rate = bench::detail::require_f64("--churn-rate", v, argv_in[0]);
+    if (const char* v = flag_arg("--churn-rate")) {
+      st.churn_rate = sim::require_f64("--churn-rate", v, argv_in[0]);
       return true;
     }
-    if (const char* v = value_of("--mean-lifetime-s")) {
+    if (const char* v = flag_arg("--mean-lifetime-s")) {
       st.mean_lifetime_s =
-          bench::detail::require_f64("--mean-lifetime-s", v, argv_in[0]);
+          sim::require_f64("--mean-lifetime-s", v, argv_in[0]);
       return true;
     }
-    if (const char* v = value_of("--shards")) {
-      st.shards = bench::detail::require_size("--shards", v, argv_in[0]);
+    if (const char* v = flag_arg("--shards")) {
+      st.shards = sim::require_size("--shards", v, argv_in[0]);
       return true;
     }
-    if (const char* v = value_of("--max-sessions")) {
+    if (const char* v = flag_arg("--max-sessions")) {
       st.max_sessions =
-          bench::detail::require_size("--max-sessions", v, argv_in[0]);
+          sim::require_size("--max-sessions", v, argv_in[0]);
       return true;
     }
-    if (const char* v = value_of("--tick-s")) {
-      st.tick_s = bench::detail::require_f64("--tick-s", v, argv_in[0]);
+    if (const char* v = flag_arg("--tick-s")) {
+      st.tick_s = sim::require_f64("--tick-s", v, argv_in[0]);
       return true;
     }
-    if (const char* v = value_of("--cells")) {
-      st.cells = bench::detail::require_size("--cells", v, argv_in[0]);
+    if (const char* v = flag_arg("--cells")) {
+      st.cells = sim::require_size("--cells", v, argv_in[0]);
       return true;
     }
-    if (const char* v = value_of("--ues-per-cell")) {
+    if (const char* v = flag_arg("--ues-per-cell")) {
       st.ues_per_cell =
-          bench::detail::require_size("--ues-per-cell", v, argv_in[0]);
+          sim::require_size("--ues-per-cell", v, argv_in[0]);
       return true;
     }
-    if (const char* v = value_of("--interference")) {
+    if (const char* v = flag_arg("--interference")) {
       st.interference =
-          bench::detail::require_size("--interference", v, argv_in[0]);
+          sim::require_size("--interference", v, argv_in[0]);
       return true;
     }
-    if (const char* v = value_of("--flush-every-n")) {
+    if (const char* v = flag_arg("--flush-every-n")) {
       st.flush_every_n =
-          bench::detail::require_size("--flush-every-n", v, argv_in[0]);
+          sim::require_size("--flush-every-n", v, argv_in[0]);
       return true;
     }
     return false;
   };
-  const auto opts = bench::parse_sweep_cli(
+  const auto opts = sim::parse_sweep_cli(
       argc, argv, extra,
       "          [--sessions N] [--duration-s X] [--snapshot-every-s X]\n"
       "          [--churn-rate X] [--mean-lifetime-s X] [--shards N]\n"
       "          [--max-sessions N] [--tick-s X] [--cells N]\n"
       "          [--ues-per-cell N] [--interference 0|1] "
       "[--flush-every-n N]");
-  if (bench::distributed_mode(opts) || !opts.shard_queue.empty()) {
+  if (opts.shard.enabled() || !opts.shard_queue.empty() ||
+      !opts.merge.empty()) {
     std::fprintf(stderr,
                  "%s: --shard/--shard-queue/--merge apply only to "
                  "trial-campaign benches; the streaming service has no "

@@ -13,7 +13,7 @@
 #include "core/ue_session.h"
 #include "phy/estimator.h"
 #include "phy/link_budget.h"
-#include "sweep_cli.h"
+#include "sim/campaign_cli.h"
 
 using namespace mmr;
 
@@ -99,7 +99,7 @@ const char* motion_name(core::MotionKind k) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opts = bench::parse_sweep_cli(argc, argv);
+  auto opts = sim::parse_sweep_cli(argc, argv);
   std::printf("=== Section 4.4: directional UE, joint beam management ===\n");
   Table t({"event", "true motion", "classified", "SNR before (dB)",
            "SNR dropped (dB)", "SNR recovered (dB)"});
@@ -165,19 +165,14 @@ int main(int argc, char** argv) {
     spec.label = [](const sim::TrialContext& ctx) {
       return std::string(ctx.index == 0 ? "static" : "rotating_45dps");
     };
-    const auto res = bench::run_campaign(spec, opts);
-    if (bench::distributed_mode(opts)) {
-      bench::emit_distributed(opts, spec.name, res);
-      bench::emit_json(spec.name, res);
-      return 0;
-    }
-    for (std::size_t i = 0; i < res.trials.size(); ++i) {
-      std::printf("%16s: reliability %.3f, mean throughput %.0f Mbps\n",
-                  i == 0 ? "static UE" : "45 deg/s rotation",
-                  res.trials[i].value.reliability,
-                  res.trials[i].value.mean_throughput_bps / 1e6);
-    }
-    bench::emit_json(spec.name, res);
+    sim::run_campaign(spec, opts, [&](const sim::EngineResult& res) {
+      for (std::size_t i = 0; i < res.trials.size(); ++i) {
+        std::printf("%16s: reliability %.3f, mean throughput %.0f Mbps\n",
+                    i == 0 ? "static UE" : "45 deg/s rotation",
+                    res.trials[i].value.reliability,
+                    res.trials[i].value.mean_throughput_bps / 1e6);
+      }
+    });
   }
   return 0;
 }

@@ -4,11 +4,14 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <set>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 
 #ifdef __unix__
@@ -35,6 +38,24 @@ bool order_by_plan(const std::pair<ShardPlan, std::string>& a,
   if (a.first.count != b.first.count) return a.first.count < b.first.count;
   if (a.first.index != b.first.index) return a.first.index < b.first.index;
   return a.second < b.second;
+}
+
+/// "BASE.<campaign>": the name every journal of the campaign starts with.
+std::string campaign_stem(const std::string& base,
+                          const std::string& campaign) {
+  std::string safe;
+  safe.reserve(campaign.size());
+  for (char c : campaign) {
+    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                    (c >= '0' && c <= '9') || c == '_' || c == '-' ||
+                    c == '.';
+    safe.push_back(ok ? c : '_');
+  }
+  return base + "." + safe;
+}
+
+void sleep_s(double seconds) {
+  std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
 }
 
 }  // namespace
@@ -176,6 +197,18 @@ MergeStats merge_journals(const std::vector<std::string>& shard_paths,
   return stats;
 }
 
+std::string journal_path(const std::string& base,
+                         const std::string& campaign) {
+  return campaign_stem(base, campaign) + kJournalSuffix;
+}
+
+std::string shard_journal_path(const std::string& base,
+                               const std::string& campaign,
+                               const ShardPlan& plan) {
+  return campaign_stem(base, campaign) + "." + plan.suffix() +
+         kJournalSuffix;
+}
+
 std::vector<std::string> discover_shard_journals(
     const std::string& merged_path) {
   namespace fs = std::filesystem;
@@ -211,6 +244,103 @@ std::vector<std::string> discover_shard_journals(
   paths.reserve(found.size());
   for (auto& [plan, path] : found) paths.push_back(std::move(path));
   return paths;
+}
+
+std::vector<std::string> watch_shard_journals(const std::string& merged_path,
+                                              const std::string& campaign,
+                                              double poll_s) {
+  std::map<std::string, std::size_t> seen_trials;  // progress cursors
+  std::map<std::string, bool> reported_sealed;
+  int polls_since_change = 0;
+  bool waiting_note_printed = false;
+  for (;;) {
+    const std::vector<std::string> paths =
+        discover_shard_journals(merged_path);
+    if (paths.empty()) {
+      if (!waiting_note_printed) {
+        std::fprintf(stderr,
+                     "watch: no shard journals for campaign '%s' yet; "
+                     "waiting for the fleet...\n",
+                     campaign.c_str());
+        waiting_note_printed = true;
+      }
+      sleep_s(poll_s);
+      continue;
+    }
+    bool changed = false;
+    bool all_sealed = true;
+    std::size_t shard_count = 0;
+    std::set<std::size_t> sealed_indices;
+    std::vector<std::string> unsealed;
+    for (const std::string& path : paths) {
+      LoadedJournal lj;
+      try {
+        lj = read_journal_file(path);
+      } catch (const std::exception&) {
+        // Unreadable mid-copy/mid-create: in-progress, next poll.
+        all_sealed = false;
+        unsealed.push_back(path);
+        continue;
+      }
+      if (lj.seal.has_value() && !lj.seal_intact()) {
+        // Confirm before failing: an append can land between our read of
+        // the records and of the footer region only on a live file, and
+        // a live file re-reads differently.
+        sleep_s(poll_s);
+        const LoadedJournal confirm = read_journal_file(path);
+        if (confirm.seal.has_value() && !confirm.seal_intact()) {
+          throw JournalMismatchError(
+              "watch: shard journal '" + path +
+              "' has a seal footer that does not match its records (seal "
+              "says " + std::to_string(confirm.seal->trials) +
+              " trials, file holds " + std::to_string(confirm.trials.size()) +
+              " intact); the file was damaged in transport -- refusing to "
+              "merge");
+        }
+        all_sealed = false;
+        unsealed.push_back(path);
+        continue;
+      }
+      const bool sealed = lj.seal_intact();
+      const std::size_t count = lj.trials.size();
+      if (seen_trials[path] != count || reported_sealed[path] != sealed) {
+        std::fprintf(stderr, "watch: %s: %zu/%zu trials%s\n", path.c_str(),
+                     count, lj.shard.owned_of(lj.key.trials),
+                     sealed ? ", sealed" : "");
+        seen_trials[path] = count;
+        reported_sealed[path] = sealed;
+        changed = true;
+      }
+      if (sealed && lj.shard.enabled()) {
+        shard_count = lj.shard.count;
+        sealed_indices.insert(lj.shard.index);
+      } else {
+        all_sealed = false;
+        unsealed.push_back(path);
+      }
+    }
+    if (all_sealed && shard_count > 0 &&
+        sealed_indices.size() == shard_count) {
+      std::fprintf(stderr,
+                   "watch: all %zu shards sealed for campaign '%s'; "
+                   "finalizing merge\n",
+                   shard_count, campaign.c_str());
+      return paths;
+    }
+    polls_since_change = changed ? 0 : polls_since_change + 1;
+    // ~10s of silence while others already sealed: name the stragglers.
+    if (polls_since_change > 0 &&
+        polls_since_change % std::max(1, static_cast<int>(10.0 / poll_s)) ==
+            0) {
+      for (const std::string& path : unsealed) {
+        std::fprintf(stderr,
+                     "watch: still waiting on '%s' (%zu trials, no seal "
+                     "yet)\n",
+                     path.c_str(), seen_trials[path]);
+      }
+    }
+    sleep_s(poll_s);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -118,12 +118,39 @@ MergeStats merge_journals(const std::vector<std::string>& shard_paths,
                           const std::string& merged_path,
                           const CampaignKey& key);
 
+/// The per-campaign journal under a --resume/--merge BASE:
+/// "BASE.<campaign>.journal". A process may run several campaigns, and
+/// each checkpoints into its own journal. Campaign-name characters
+/// outside [A-Za-z0-9_.-] become '_'.
+std::string journal_path(const std::string& base,
+                         const std::string& campaign);
+
+/// A shard worker's journal: "BASE.<campaign>.shard-I-of-N.journal",
+/// exactly what discover_shard_journals(journal_path(base, campaign))
+/// scans for at merge time.
+std::string shard_journal_path(const std::string& base,
+                               const std::string& campaign,
+                               const ShardPlan& plan);
+
 /// Discover the shard journals next to an unsharded journal path
 /// ("<stem>.journal" -> every "<stem>.shard-<i>-of-<N>.journal" in the
 /// same directory), sorted by (count, index). Purely lexical + directory
 /// scan; merge_journals() does the real validation.
 std::vector<std::string> discover_shard_journals(
     const std::string& merged_path);
+
+/// --merge --watch: poll the shard journals next to `merged_path` while
+/// the fleet is still writing them, and return the complete set once
+/// every shard 0..N-1 (one consistent N) carries an intact seal footer.
+/// Progress, and shards that stay unchanged for ~10 s while others
+/// sealed, are reported on stderr. Files mid-append or mid-copy read as
+/// torn or short and count as in progress. A seal footer that disagrees
+/// with its records on an immediate re-read too (a racing append cannot
+/// fake that) is transport damage: throws JournalMismatchError naming
+/// the file.
+std::vector<std::string> watch_shard_journals(const std::string& merged_path,
+                                              const std::string& campaign,
+                                              double poll_s = 0.2);
 
 /// Tuning for lease-based shard claims. A worker's heartbeat rewrites
 /// its lease every ttl/4; a lease older than ttl + grace is presumed

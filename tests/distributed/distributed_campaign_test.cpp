@@ -22,10 +22,10 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "sim/campaign_cli.h"
 #include "sim/engine.h"
 #include "sim/journal.h"
 #include "sim/shard.h"
-#include "sweep_cli.h"
 
 namespace mmr {
 namespace {
@@ -85,11 +85,11 @@ pid_t fork_worker(const sim::ExperimentSpec& spec, const std::string& base,
                   const sim::ShardPlan& plan) {
   const pid_t pid = ::fork();
   if (pid == 0) {
-    bench::SweepCliOptions opts;
+    sim::SweepCliOptions opts;
     opts.resume = base;
     opts.shard = plan;
     opts.freeze_timing = true;
-    (void)bench::run_campaign(spec, opts);
+    (void)sim::run_campaign(spec, opts);
     ::_exit(0);
   }
   return pid;
@@ -116,11 +116,11 @@ class DistributedCampaignTest : public ::testing::Test {
 
   /// 1-process journaled reference run; returns its --json-out bytes.
   std::string reference_json(const sim::ExperimentSpec& spec) {
-    bench::SweepCliOptions opts;
+    sim::SweepCliOptions opts;
     opts.resume = dir_ + "/ref";
     opts.json_out = dir_ + "/ref.json";
     opts.freeze_timing = true;
-    (void)bench::run_campaign(spec, opts);
+    (void)sim::run_campaign(spec, opts);
     return read_all(dir_ + "/ref.json");
   }
 
@@ -128,11 +128,11 @@ class DistributedCampaignTest : public ::testing::Test {
   /// bytes of the merged replay.
   std::string merge_json(const sim::ExperimentSpec& spec,
                          const std::string& base, const char* out_name) {
-    bench::SweepCliOptions opts;
+    sim::SweepCliOptions opts;
     opts.merge = base;
     opts.json_out = dir_ + "/" + out_name;
     opts.freeze_timing = true;
-    const sim::EngineResult r = bench::run_campaign(spec, opts);
+    const sim::EngineResult r = sim::run_campaign(spec, opts);
     EXPECT_EQ(r.trials.size(), spec.trials);
     return read_all(dir_ + "/" + out_name);
   }
@@ -255,11 +255,11 @@ TEST_F(DistributedCampaignTest, MergeRerunsTrialsACrashedShardNeverRan) {
         << sim::journal_trial_line(full.trials[0]);
   }
 
-  bench::SweepCliOptions opts;
+  sim::SweepCliOptions opts;
   opts.merge = base;
   opts.json_out = dir_ + "/rerun.json";
   opts.freeze_timing = true;
-  const sim::EngineResult r = bench::run_campaign(spec, opts);
+  const sim::EngineResult r = sim::run_campaign(spec, opts);
   EXPECT_EQ(r.replayed_trials, spec.trials - 2);  // trials 2, 4 re-ran
   EXPECT_EQ(read_all(dir_ + "/rerun.json"), reference);
 }
@@ -318,11 +318,11 @@ TEST_F(DistributedCampaignTest, QueueDrivenFleetMergesByteExactly) {
     ASSERT_NE(pid, -1);
     if (pid == 0) {
       while (const auto plan = sim::ShardQueue::claim(qdir)) {
-        bench::SweepCliOptions opts;
+        sim::SweepCliOptions opts;
         opts.resume = base;
         opts.shard = *plan;
         opts.freeze_timing = true;
-        (void)bench::run_campaign(spec, opts);
+        (void)sim::run_campaign(spec, opts);
       }
       ::_exit(0);
     }
@@ -372,11 +372,11 @@ TEST_F(DistributedCampaignTest, LeaseTakeoverFleetRecoversByteExactly) {
     const auto plan = sim::ShardQueue::claim(qdir, lease);
     if (!plan.has_value()) ::_exit(3);
     sim::ShardLeaseKeeper keeper(qdir, *plan, lease);
-    bench::SweepCliOptions opts;
+    sim::SweepCliOptions opts;
     opts.resume = base;
     opts.shard = *plan;
     opts.freeze_timing = true;
-    (void)bench::run_campaign(dying, opts);
+    (void)sim::run_campaign(dying, opts);
     ::_exit(0);
   }
   int status = 0;
@@ -403,11 +403,11 @@ TEST_F(DistributedCampaignTest, LeaseTakeoverFleetRecoversByteExactly) {
           continue;
         }
         sim::ShardLeaseKeeper keeper(qdir, *plan, lease);
-        bench::SweepCliOptions opts;
+        sim::SweepCliOptions opts;
         opts.resume = base;
         opts.shard = *plan;
         opts.freeze_timing = true;
-        (void)bench::run_campaign(spec, opts);
+        (void)sim::run_campaign(spec, opts);
       }
       ::_exit(0);
     }
@@ -443,12 +443,12 @@ TEST_F(DistributedCampaignTest, ConcurrentWatchMergeIsByteIdentical) {
   const pid_t watcher = ::fork();
   ASSERT_NE(watcher, -1);
   if (watcher == 0) {
-    bench::SweepCliOptions opts;
+    sim::SweepCliOptions opts;
     opts.merge = base;
     opts.watch = true;
     opts.json_out = dir_ + "/cw.json";
     opts.freeze_timing = true;
-    (void)bench::run_campaign(spec, opts);
+    (void)sim::run_campaign(spec, opts);
     ::_exit(0);
   }
 
@@ -474,11 +474,11 @@ TEST_F(DistributedCampaignTest, WatchMergeWaitsOutAHalfCopiedJournal) {
   // fleet path is covered above).
   const std::string src = dir_ + "/src";
   for (std::size_t i = 0; i < 2; ++i) {
-    bench::SweepCliOptions opts;
+    sim::SweepCliOptions opts;
     opts.resume = src;
     opts.shard = sim::ShardPlan{i, 2};
     opts.freeze_timing = true;
-    (void)bench::run_campaign(spec, opts);
+    (void)sim::run_campaign(spec, opts);
   }
   const std::string src0 = src + "." + spec.name + ".shard-0-of-2.journal";
   const std::string src1 = src + "." + spec.name + ".shard-1-of-2.journal";
@@ -506,12 +506,12 @@ TEST_F(DistributedCampaignTest, WatchMergeWaitsOutAHalfCopiedJournal) {
   const pid_t watcher = ::fork();
   ASSERT_NE(watcher, -1);
   if (watcher == 0) {
-    bench::SweepCliOptions opts;
+    sim::SweepCliOptions opts;
     opts.merge = dst_base;
     opts.watch = true;
     opts.json_out = dir_ + "/land.json";
     opts.freeze_timing = true;
-    (void)bench::run_campaign(spec, opts);
+    (void)sim::run_campaign(spec, opts);
     ::_exit(0);
   }
 
@@ -527,6 +527,46 @@ TEST_F(DistributedCampaignTest, WatchMergeWaitsOutAHalfCopiedJournal) {
 
   wait_ok(watcher);
   EXPECT_EQ(read_all(dir_ + "/land.json"), reference);
+}
+
+TEST_F(DistributedCampaignTest, ReportHookPrintsTheFigureOnlyInAPlainRun) {
+  // run_campaign(spec, opts, figure): a plain run prints the figure, shard
+  // workers and the merger print only the JSON line, and the merged line
+  // is the 1-process line.
+  const sim::ExperimentSpec spec = fig18_like_spec();
+  int figures = 0;
+  const auto report = [&](sim::SweepCliOptions opts) {
+    ::testing::internal::CaptureStdout();
+    sim::run_campaign(spec, opts, [&figures](const sim::EngineResult& r) {
+      ++figures;
+      std::printf("figure of %zu trials\n", r.trials.size());
+    });
+    return ::testing::internal::GetCapturedStdout();
+  };
+  sim::SweepCliOptions plain;
+  plain.freeze_timing = true;
+  const std::string plain_out = report(plain);
+  EXPECT_EQ(figures, 1);
+  const std::string figure_line = "figure of 6 trials\n";
+  ASSERT_EQ(plain_out.compare(0, figure_line.size(), figure_line), 0)
+      << plain_out;
+  const std::string json_line = plain_out.substr(figure_line.size());
+  ASSERT_EQ(json_line.find('\n'), json_line.size() - 1) << json_line;
+
+  for (std::size_t i = 0; i < 2; ++i) {
+    sim::SweepCliOptions worker;
+    worker.resume = dir_ + "/hook";
+    worker.shard = sim::ShardPlan{i, 2};
+    worker.freeze_timing = true;
+    const std::string out = report(worker);
+    EXPECT_EQ(out.find('\n'), out.size() - 1) << out;
+    EXPECT_EQ(out.rfind("{\"bench\": ", 0), 0u) << out;
+  }
+  sim::SweepCliOptions merger;
+  merger.merge = dir_ + "/hook";
+  merger.freeze_timing = true;
+  EXPECT_EQ(report(merger), json_line);
+  EXPECT_EQ(figures, 1);
 }
 
 }  // namespace

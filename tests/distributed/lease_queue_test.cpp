@@ -8,9 +8,11 @@
 #include <chrono>
 #include <cstdlib>
 #include <ctime>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #ifdef __unix__
 #include <fcntl.h>
@@ -18,10 +20,18 @@
 #include <unistd.h>
 #endif
 
+#include "sim/campaign_cli.h"
 #include "sim/shard.h"
 
 namespace mmr::sim {
 namespace {
+
+std::vector<char*> argv_of(std::vector<std::string>& args) {
+  std::vector<char*> argv;
+  argv.reserve(args.size());
+  for (std::string& a : args) argv.push_back(a.data());
+  return argv;
+}
 
 class LeaseQueueTest : public ::testing::Test {
  protected:
@@ -224,6 +234,70 @@ TEST_F(LeaseQueueTest, LeaseKeeperHeartbeatsAndCompletesOnDestruction) {
   const auto c = ShardQueue::counts(dir_);
   EXPECT_EQ(c.done, 1u);
   EXPECT_EQ(c.claimed, 0u);
+}
+
+TEST_F(LeaseQueueTest, ParsingTheQueueFlagsClaimsNoShard) {
+  // bench_network and bench_streaming parse the shared grammar, then
+  // reject the distributed flags and return. Parsing must not claim a
+  // shard (which the options' destruction would then mark done) that
+  // the bench never runs: the fleet's later --merge could never cover
+  // the campaign. Nor may it create a queue that does not exist yet.
+  ShardQueue::init(dir_, 2);  // a live fleet's queue
+  const std::string fresh = root_ + "/fresh";
+  for (const std::string& queue : {dir_, fresh}) {
+    std::vector<std::string> args = {"bench_network", "--shard-queue",
+                                     queue,           "--shards",
+                                     "2",             "--resume",
+                                     root_ + "/b"};
+    auto argv = argv_of(args);
+    const SweepCliOptions opts =
+        parse_sweep_cli(static_cast<int>(argv.size()), argv.data());
+    EXPECT_FALSE(opts.shard.enabled());
+    EXPECT_TRUE(opts.shard.enabled() || !opts.shard_queue.empty() ||
+                !opts.merge.empty())
+        << "the benches' rejection must see the queue flag";
+  }
+  const ShardQueue::Counts c = ShardQueue::counts(dir_);
+  EXPECT_EQ(c.todo, 2u);
+  EXPECT_EQ(c.claimed, 0u);
+  EXPECT_EQ(c.done, 0u);
+  EXPECT_FALSE(std::filesystem::exists(fresh))
+      << "parsing --shards created the queue";
+}
+
+TEST_F(LeaseQueueTest, FirstCampaignClaimsAndLaterCampaignsReuseTheShard) {
+  std::vector<std::string> args = {"prog",     "--shard-queue",   dir_,
+                                   "--shards", "2",               "--resume",
+                                   root_ + "/b", "--freeze-timing"};
+  auto argv = argv_of(args);
+  ExperimentSpec spec;
+  spec.name = "queue_first";
+  spec.scenario.name = "indoor";
+  spec.controller.name = "mmreliable";
+  spec.run.duration_s = 0.02;
+  spec.trials = 2;
+  {
+    SweepCliOptions opts =
+        parse_sweep_cli(static_cast<int>(argv.size()), argv.data());
+    (void)run_campaign(spec, opts);
+    EXPECT_EQ(opts.shard, (ShardPlan{0, 2}));
+    spec.name = "queue_second";
+    (void)run_campaign(spec, opts);
+    EXPECT_EQ(opts.shard, (ShardPlan{0, 2}));
+    const ShardQueue::Counts c = ShardQueue::counts(dir_);
+    EXPECT_EQ(c.todo, 1u);
+    EXPECT_EQ(c.claimed, 1u);
+    for (const char* name : {"queue_first", "queue_second"}) {
+      EXPECT_TRUE(std::filesystem::exists(
+          shard_journal_path(root_ + "/b", name, ShardPlan{0, 2})))
+          << name;
+    }
+  }
+  // The options held the lease; destroying them retires the shard.
+  const ShardQueue::Counts c = ShardQueue::counts(dir_);
+  EXPECT_EQ(c.todo, 1u);
+  EXPECT_EQ(c.claimed, 0u);
+  EXPECT_EQ(c.done, 1u);
 }
 
 }  // namespace

@@ -7,8 +7,8 @@
 #include <vector>
 
 #include "common/parse.h"
+#include "sim/campaign_cli.h"
 #include "sim/engine.h"
-#include "sweep_cli.h"
 
 namespace mmr {
 namespace {
@@ -56,8 +56,8 @@ TEST(SweepCliDurability, ParsesTheDurabilityFlags) {
       "--trial-retries=2", "--trial-timeout-s", "1.5",
       "--freeze-timing"};
   auto argv = argv_of(args);
-  const bench::SweepCliOptions opts =
-      bench::parse_sweep_cli(static_cast<int>(argv.size()), argv.data());
+  const sim::SweepCliOptions opts =
+      sim::parse_sweep_cli(static_cast<int>(argv.size()), argv.data());
   EXPECT_EQ(opts.resume, "/tmp/ckpt");
   EXPECT_EQ(opts.trial_retries, 2u);
   EXPECT_EQ(opts.trial_timeout_s, 1.5);
@@ -67,8 +67,8 @@ TEST(SweepCliDurability, ParsesTheDurabilityFlags) {
 TEST(SweepCliDurability, DurabilityDefaultsAreOff) {
   std::vector<std::string> args = {"prog"};
   auto argv = argv_of(args);
-  const bench::SweepCliOptions opts =
-      bench::parse_sweep_cli(static_cast<int>(argv.size()), argv.data());
+  const sim::SweepCliOptions opts =
+      sim::parse_sweep_cli(static_cast<int>(argv.size()), argv.data());
   EXPECT_TRUE(opts.resume.empty());
   EXPECT_EQ(opts.trial_retries, 0u);
   EXPECT_EQ(opts.trial_timeout_s, 0.0);
@@ -76,15 +76,15 @@ TEST(SweepCliDurability, DurabilityDefaultsAreOff) {
 }
 
 TEST(SweepCliDurability, JournalPathIsPerCampaignAndSanitized) {
-  EXPECT_EQ(bench::detail::journal_path("/tmp/ckpt", "fig16_blockage"),
+  EXPECT_EQ(sim::journal_path("/tmp/ckpt", "fig16_blockage"),
             "/tmp/ckpt.fig16_blockage.journal");
-  EXPECT_EQ(bench::detail::journal_path("base", "weird name/with:stuff"),
+  EXPECT_EQ(sim::journal_path("base", "weird name/with:stuff"),
             "base.weird_name_with_stuff.journal");
 }
 
 int run_cli(std::vector<std::string> args) {
   auto argv = argv_of(args);
-  bench::parse_sweep_cli(static_cast<int>(argv.size()), argv.data());
+  sim::parse_sweep_cli(static_cast<int>(argv.size()), argv.data());
   return 0;
 }
 
@@ -118,9 +118,9 @@ int resume_sampled_campaign() {
   spec.controller.name = "mmreliable";
   spec.run.duration_s = 0.05;
   spec.record_samples = true;  // journals cannot replay per-tick samples
-  bench::SweepCliOptions opts;
+  sim::SweepCliOptions opts;
   opts.resume = "/tmp/mmr_cli_durability_ckpt";
-  (void)bench::run_campaign(spec, opts);
+  (void)sim::run_campaign(spec, opts);
   return 0;
 }
 
@@ -135,9 +135,9 @@ int campaign_to_unwritable_json() {
   spec.scenario.name = "indoor";
   spec.controller.name = "mmreliable";
   spec.run.duration_s = 0.05;
-  bench::SweepCliOptions opts;
+  sim::SweepCliOptions opts;
   opts.json_out = "/no/such/dir/out.json";
-  (void)bench::run_campaign(spec, opts);
+  (void)sim::run_campaign(spec, opts);
   return 0;
 }
 

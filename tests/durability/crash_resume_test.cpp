@@ -17,9 +17,10 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "sim/campaign_cli.h"
 #include "sim/engine.h"
 #include "sim/journal.h"
-#include "sweep_cli.h"
+#include "sim/telemetry.h"
 
 namespace mmr {
 namespace {
@@ -86,18 +87,18 @@ TEST_F(CrashResumeTest, SigkilledCampaignResumesByteIdentically) {
   const sim::ExperimentSpec spec = crash_spec();
   const std::string journal_base = dir_ + "/ckpt";
   const std::string journal_file =
-      bench::detail::journal_path(journal_base, spec.name);
+      sim::journal_path(journal_base, spec.name);
 
   // --- child: run the journaled campaign until we kill it ---------------
   const pid_t child = ::fork();
   ASSERT_NE(child, -1);
   if (child == 0) {
-    bench::SweepCliOptions opts;
+    sim::SweepCliOptions opts;
     opts.jobs = 2;
     opts.resume = journal_base;
     opts.json_out = dir_ + "/child.json";
     opts.freeze_timing = true;
-    (void)bench::run_campaign(spec, opts);
+    (void)sim::run_campaign(spec, opts);
     ::_exit(0);  // never reached: the parent kills us mid-sweep
   }
 
@@ -131,22 +132,22 @@ TEST_F(CrashResumeTest, SigkilledCampaignResumesByteIdentically) {
   }
 
   // --- parent: resume ---------------------------------------------------
-  bench::SweepCliOptions resume_opts;
+  sim::SweepCliOptions resume_opts;
   resume_opts.jobs = 2;
   resume_opts.resume = journal_base;
   resume_opts.json_out = dir_ + "/resumed.json";
   resume_opts.freeze_timing = true;
-  const sim::EngineResult resumed = bench::run_campaign(spec, resume_opts);
+  const sim::EngineResult resumed = sim::run_campaign(spec, resume_opts);
   EXPECT_GE(resumed.replayed_trials, 2u);
   EXPECT_LE(resumed.replayed_trials, spec.trials);
   EXPECT_TRUE(resumed.failures.empty());
 
   // --- reference: the same campaign, uninterrupted, no journal ----------
-  bench::SweepCliOptions ref_opts;
+  sim::SweepCliOptions ref_opts;
   ref_opts.jobs = 2;
   ref_opts.json_out = dir_ + "/reference.json";
   ref_opts.freeze_timing = true;
-  (void)bench::run_campaign(spec, ref_opts);
+  (void)sim::run_campaign(spec, ref_opts);
 
   const std::string resumed_json = read_all(dir_ + "/resumed.json");
   const std::string reference_json = read_all(dir_ + "/reference.json");

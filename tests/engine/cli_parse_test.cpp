@@ -1,7 +1,8 @@
 // Strict numeric parsing for the bench CLI (common/parse.h) and the
-// sweep_cli flag handling itself. The old strtoull-based parsing accepted
-// "abc" as 0 (= every hardware thread) and "12x" as 12; these pins make
-// sure garbage exits with status 2 instead of being silently truncated.
+// campaign CLI flag handling itself (sim/campaign_cli.h). The old
+// strtoull-based parsing accepted "abc" as 0 (= every hardware thread)
+// and "12x" as 12; these pins make sure garbage exits with status 2
+// instead of being silently truncated.
 #include <gtest/gtest.h>
 
 #include <clocale>
@@ -12,7 +13,7 @@
 
 #include "common/parse.h"
 #include "dsp/backend.h"
-#include "sweep_cli.h"
+#include "sim/campaign_cli.h"
 
 namespace mmr {
 namespace {
@@ -110,7 +111,7 @@ TEST(ParseF64, IsLocaleIndependent) {
   EXPECT_FALSE(comma_ok);
 }
 
-// --- sweep_cli flag handling -------------------------------------------
+// --- campaign CLI flag handling ----------------------------------------
 
 std::vector<char*> argv_of(std::vector<std::string>& args) {
   std::vector<char*> argv;
@@ -125,8 +126,8 @@ TEST(SweepCli, ParsesAllFlagsInBothForms) {
                                    "--scenario", "outdoor",    "--controller=reactive",
                                    "--json-out", "/tmp/x.json"};
   auto argv = argv_of(args);
-  const bench::SweepCliOptions opts =
-      bench::parse_sweep_cli(static_cast<int>(argv.size()), argv.data());
+  const sim::SweepCliOptions opts =
+      sim::parse_sweep_cli(static_cast<int>(argv.size()), argv.data());
   EXPECT_EQ(opts.jobs, 4u);
   EXPECT_EQ(opts.trials, 9u);
   EXPECT_EQ(opts.seed, 77u);
@@ -138,8 +139,8 @@ TEST(SweepCli, ParsesAllFlagsInBothForms) {
 TEST(SweepCli, DefaultsWhenNoFlags) {
   std::vector<std::string> args = {"prog"};
   auto argv = argv_of(args);
-  const bench::SweepCliOptions opts =
-      bench::parse_sweep_cli(static_cast<int>(argv.size()), argv.data());
+  const sim::SweepCliOptions opts =
+      sim::parse_sweep_cli(static_cast<int>(argv.size()), argv.data());
   EXPECT_EQ(opts.jobs, 1u);
   EXPECT_EQ(opts.trials, 0u);
   EXPECT_EQ(opts.seed, 0u);
@@ -150,7 +151,7 @@ TEST(SweepCli, DefaultsWhenNoFlags) {
 
 int run_cli(std::vector<std::string> args) {
   auto argv = argv_of(args);
-  bench::parse_sweep_cli(static_cast<int>(argv.size()), argv.data());
+  sim::parse_sweep_cli(static_cast<int>(argv.size()), argv.data());
   return 0;
 }
 
@@ -190,19 +191,17 @@ TEST(SweepCli, ParsesShardAndMergeFlags) {
   std::vector<std::string> args = {"prog", "--resume", "/tmp/base",
                                    "--shard", "1/3"};
   auto argv = argv_of(args);
-  const bench::SweepCliOptions opts =
-      bench::parse_sweep_cli(static_cast<int>(argv.size()), argv.data());
+  const sim::SweepCliOptions opts =
+      sim::parse_sweep_cli(static_cast<int>(argv.size()), argv.data());
   EXPECT_TRUE(opts.shard.enabled());
   EXPECT_EQ(opts.shard.index, 1u);
   EXPECT_EQ(opts.shard.count, 3u);
-  EXPECT_TRUE(bench::distributed_mode(opts));
 
   std::vector<std::string> margs = {"prog", "--merge=/tmp/base"};
   auto margv = argv_of(margs);
-  const bench::SweepCliOptions mopts =
-      bench::parse_sweep_cli(static_cast<int>(margv.size()), margv.data());
+  const sim::SweepCliOptions mopts =
+      sim::parse_sweep_cli(static_cast<int>(margv.size()), margv.data());
   EXPECT_EQ(mopts.merge, "/tmp/base");
-  EXPECT_TRUE(bench::distributed_mode(mopts));
 }
 
 TEST(SweepCliDeathTest, MalformedShardSpecExits2) {
@@ -250,8 +249,8 @@ TEST(SweepCli, KernelBackendFlagAppliesEagerly) {
   const dsp::Backend before = dsp::active_backend();
   std::vector<std::string> args = {"prog", "--kernel-backend", "scalar"};
   auto argv = argv_of(args);
-  const bench::SweepCliOptions opts =
-      bench::parse_sweep_cli(static_cast<int>(argv.size()), argv.data());
+  const sim::SweepCliOptions opts =
+      sim::parse_sweep_cli(static_cast<int>(argv.size()), argv.data());
   EXPECT_EQ(opts.kernel_backend, "scalar");
   EXPECT_EQ(dsp::active_backend(), dsp::Backend::kScalar);
   dsp::set_backend(before);  // restore for the rest of the binary
@@ -261,7 +260,7 @@ TEST(SweepCli, KernelBackendAutoPicksBestBackend) {
   const dsp::Backend before = dsp::active_backend();
   std::vector<std::string> args = {"prog", "--kernel-backend=auto"};
   auto argv = argv_of(args);
-  (void)bench::parse_sweep_cli(static_cast<int>(argv.size()), argv.data());
+  (void)sim::parse_sweep_cli(static_cast<int>(argv.size()), argv.data());
   EXPECT_EQ(dsp::active_backend(), dsp::best_backend());
   dsp::set_backend(before);
 }
@@ -272,22 +271,22 @@ TEST(SweepCliDeathTest, UnknownKernelBackendExits2) {
 }
 
 TEST(SweepCli, ApplyCliOverridesRegistryNamesAndJobs) {
-  bench::SweepCliOptions opts;
+  sim::SweepCliOptions opts;
   opts.jobs = 3;
   opts.scenario = "outdoor";
   opts.controller = "reactive";
   sim::ExperimentSpec spec;
-  bench::apply_cli(opts, spec);
+  sim::apply_cli(opts, spec);
   EXPECT_EQ(spec.jobs, 3u);
   EXPECT_EQ(spec.scenario.name, "outdoor");
   EXPECT_EQ(spec.controller.name, "reactive");
 
   // Empty overrides keep the bench's defaults.
-  bench::SweepCliOptions defaults;
+  sim::SweepCliOptions defaults;
   sim::ExperimentSpec spec2;
   spec2.scenario.name = "indoor_sparse";
   spec2.controller.name = "beamspy";
-  bench::apply_cli(defaults, spec2);
+  sim::apply_cli(defaults, spec2);
   EXPECT_EQ(spec2.scenario.name, "indoor_sparse");
   EXPECT_EQ(spec2.controller.name, "beamspy");
 }

@@ -11,8 +11,8 @@
 #include <string>
 #include <vector>
 
+#include "sim/campaign_cli.h"
 #include "sim/faults.h"
-#include "sweep_cli.h"
 
 namespace mmr::sim {
 namespace {
@@ -131,18 +131,18 @@ std::vector<char*> argv_of(std::vector<std::string>& args) {
 
 int run_cli(std::vector<std::string> args) {
   auto argv = argv_of(args);
-  bench::parse_sweep_cli(static_cast<int>(argv.size()), argv.data());
+  sim::parse_sweep_cli(static_cast<int>(argv.size()), argv.data());
   return 0;
 }
 
 TEST(FaultCli, ParsesAndAppliesPreset) {
   std::vector<std::string> args = {"prog", "--faults", "moderate"};
   auto argv = argv_of(args);
-  const bench::SweepCliOptions opts =
-      bench::parse_sweep_cli(static_cast<int>(argv.size()), argv.data());
+  const sim::SweepCliOptions opts =
+      sim::parse_sweep_cli(static_cast<int>(argv.size()), argv.data());
   EXPECT_EQ(opts.faults, "moderate");
   ExperimentSpec spec;
-  bench::apply_cli(opts, spec);
+  sim::apply_cli(opts, spec);
   EXPECT_TRUE(spec.run.faults.enabled());
   EXPECT_EQ(spec.run.faults.probe_drop_prob,
             fault_preset("moderate").probe_drop_prob);
