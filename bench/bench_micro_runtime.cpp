@@ -29,6 +29,8 @@
 #include "dsp/sinc.h"
 #include "sim/engine.h"
 #include "sim/telemetry.h"
+#include "sim/workspace.h"
+#include "sim/world.h"
 
 using namespace mmr;
 
@@ -365,6 +367,55 @@ void BM_KernelDelayPhasors(benchmark::State& state, dsp::Backend backend) {
                           static_cast<std::int64_t>(kKernelReps * n));
 }
 
+// The probe path's transcendental kernels at production sizes: 64 normals
+// (one CSI probe's AWGN is 128), one 24-tap super-resolution dictionary
+// column, and a whole 64-subcarrier CSI probe through a LinkWorld with a
+// bound workspace (effective CSI, AWGN, CFO/SFO rotation).
+
+void BM_BoxMuller64(benchmark::State& state, dsp::Backend backend) {
+  dsp::ScopedBackend scoped(backend);
+  Rng rng(19);
+  RVec out(64);
+  for (auto _ : state) {
+    dsp::fill_normal(rng, out.data(), out.size());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 64);
+}
+
+void BM_SincColumn24(benchmark::State& state, dsp::Backend backend) {
+  dsp::ScopedBackend scoped(backend);
+  constexpr double kBw = 400e6;
+  RVec col(24);
+  double tau = 1.3e-9;
+  for (auto _ : state) {
+    dsp::sinc_column(1.0 / kBw, kBw, tau, col.size(), col.data());
+    benchmark::DoNotOptimize(col.data());
+    benchmark::ClobberMemory();
+    tau += 1e-13;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 24);
+}
+
+void BM_CsiProbe(benchmark::State& state, dsp::Backend backend) {
+  dsp::ScopedBackend scoped(backend);
+  sim::ScenarioSpec spec;
+  spec.name = "indoor_sparse";
+  spec.config.seed = 13;
+  sim::LinkWorld world = sim::ScenarioRegistry::instance().make(spec);
+  sim::TrialWorkspace workspace;
+  world.bind_workspace(&workspace);
+  const core::LinkProbeInterface link = world.probe_interface();
+  const CVec w = array::single_beam_weights(world.config().tx_ula, 0.2);
+  for (auto _ : state) {
+    CVec csi = link.csi(w);
+    benchmark::DoNotOptimize(csi.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+
 /// Register BM_Kernel*/<backend> for every backend this machine can
 /// actually execute (registration-time check: ScopedBackend inside the
 /// benchmark cannot signal skip cleanly, so unsupported backends simply
@@ -381,14 +432,31 @@ void register_backend_benchmarks() {
       {"BM_KernelAxpy", &BM_KernelAxpy},
       {"BM_KernelDelayPhasors", &BM_KernelDelayPhasors},
   };
+  static constexpr struct {
+    const char* name;
+    BenchFn fn;
+  } kProbeBenches[] = {
+      {"BM_BoxMuller64", &BM_BoxMuller64},
+      {"BM_SincColumn24", &BM_SincColumn24},
+      {"BM_CsiProbe", &BM_CsiProbe},
+  };
+  const auto name_for = [](const char* bench, dsp::Backend b) {
+    return std::string(bench) + "/" + std::string(dsp::backend_name(b));
+  };
   for (const auto& bench : kKernelBenches) {
     for (dsp::Backend b : dsp::compiled_backends()) {
       if (!dsp::backend_supported(b)) continue;
-      const std::string name = std::string(bench.name) + "/" +
-                               std::string(dsp::backend_name(b));
-      benchmark::RegisterBenchmark(name.c_str(), bench.fn, b)
+      benchmark::RegisterBenchmark(name_for(bench.name, b).c_str(), bench.fn,
+                                   b)
           ->Arg(64)
           ->Arg(512);
+    }
+  }
+  for (const auto& bench : kProbeBenches) {
+    for (dsp::Backend b : dsp::compiled_backends()) {
+      if (!dsp::backend_supported(b)) continue;
+      benchmark::RegisterBenchmark(name_for(bench.name, b).c_str(), bench.fn,
+                                   b);
     }
   }
 }

@@ -120,13 +120,12 @@ CVec effective_cir(const std::vector<Path>& paths, const array::Ula& tx_ula,
   const double t0 = min_delay(paths);
   const double ts = spec.sample_period();
   CVec cir(num_taps, cplx{});
+  RVec pulse(num_taps);
   for (const Path& p : paths) {
     const cplx alpha = path_amplitude(p, tx_ula, tx_weights, rx);
     const double excess = p.delay_s - t0 + timing_offset_s;
-    for (std::size_t n = 0; n < num_taps; ++n) {
-      cir[n] += alpha *
-                dsp::sampled_sinc_tap(n, ts, spec.bandwidth_hz, excess);
-    }
+    dsp::sinc_column(ts, spec.bandwidth_hz, excess, num_taps, pulse.data());
+    for (std::size_t n = 0; n < num_taps; ++n) cir[n] += alpha * pulse[n];
   }
   return cir;
 }

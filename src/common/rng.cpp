@@ -82,6 +82,34 @@ cplx Rng::complex_normal(double variance) {
   return {normal(0.0, s), normal(0.0, s)};
 }
 
+void Rng::fill_normal(double* out, std::size_t n, BoxMullerFn box_muller) {
+  std::size_t i = 0;
+  if (n > 0 && has_cached_normal_) {
+    has_cached_normal_ = false;
+    out[i++] = cached_normal_;
+  }
+  const std::size_t pairs = (n - i) / 2;
+  for (std::size_t j = i; j < i + 2 * pairs; ++j) out[j] = uniform();
+  box_muller(out + i, pairs, out + i);
+  i += 2 * pairs;
+  if (i < n) {
+    double pair[2] = {uniform(), uniform()};
+    box_muller(pair, 1, pair);
+    out[i] = pair[0];
+    cached_normal_ = pair[1];
+    has_cached_normal_ = true;
+  }
+}
+
+void Rng::fill_complex_normal(cplx* out, std::size_t n, double variance,
+                              BoxMullerFn box_muller) {
+  // std::complex<double> is layout-compatible with double[2].
+  double* parts = reinterpret_cast<double*>(out);
+  fill_normal(parts, 2 * n, box_muller);
+  const double s = std::sqrt(variance / 2.0);
+  for (std::size_t j = 0; j < 2 * n; ++j) parts[j] = 0.0 + s * parts[j];
+}
+
 bool Rng::bernoulli(double p) { return uniform() < p; }
 
 double Rng::exponential(double mean) {

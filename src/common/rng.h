@@ -6,6 +6,7 @@
 // xoshiro256++, which is fast, tiny, and has no global state.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "common/types.h"
@@ -36,6 +37,25 @@ class Rng {
 
   /// Circularly-symmetric complex Gaussian with E[|x|^2] = variance.
   cplx complex_normal(double variance = 1.0);
+
+  /// The Box-Muller step of normal() over interleaved uniform pairs, in
+  /// place (see dsp::box_muller). dsp depends on common, so the batch
+  /// fills take the kernel as an argument; dsp::fill_normal passes the
+  /// active backend's.
+  using BoxMullerFn = void (*)(const double* uniforms, std::size_t pairs,
+                               double* normals);
+
+  /// out[0..n) = n sequential normal() calls: a cached sample first, then
+  /// the same uniforms in the same order, and for an odd remainder the
+  /// second sample of the last pair left cached -- the generator ends in
+  /// the state the sequential calls leave. `box_muller` transforms the
+  /// uniform pairs; with the scalar kernel the values are bit-identical.
+  void fill_normal(double* out, std::size_t n, BoxMullerFn box_muller);
+
+  /// out[0..n) = n sequential complex_normal(variance) calls (fill_normal
+  /// of 2n reals, scaled as complex_normal scales them).
+  void fill_complex_normal(cplx* out, std::size_t n, double variance,
+                           BoxMullerFn box_muller);
 
   /// True with probability p.
   bool bernoulli(double p);

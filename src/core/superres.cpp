@@ -10,15 +10,6 @@
 namespace mmr::core {
 namespace {
 
-/// Dictionary column (Eq. 22): the sampled sinc pulse of a path at
-/// `delay_s`.
-void fill_column(double* col, std::size_t taps, double ts,
-                 double bandwidth_hz, double delay_s) {
-  for (std::size_t n = 0; n < taps; ++n) {
-    col[n] = dsp::sampled_sinc_tap(n, ts, bandwidth_hz, delay_s);
-  }
-}
-
 /// Model tap n, sum_k S[n][k] alpha_k, summed over beams in index order
 /// (columns stored one after the other, `taps` samples each).
 cplx model_tap(const double* cols, std::size_t taps, std::size_t beams,
@@ -68,8 +59,9 @@ class DelaySearch {
   double try_all(DelayOf delay_of) {
     for (std::size_t k = 0; k < beams_; ++k) {
       trial_.delays[k] = delay_of(k);
-      fill_column(column(trial_, k), taps_, ts_, bandwidth_hz_,
-                  trial_.delays[k]);
+      // Dictionary column (Eq. 22): the sampled sinc pulse at the delay.
+      dsp::sinc_column(ts_, bandwidth_hz_, trial_.delays[k], taps_,
+                       column(trial_, k));
     }
     for (std::size_t i = 0; i < beams_; ++i) {
       for (std::size_t j = 0; j <= i; ++j) {
@@ -88,7 +80,7 @@ class DelaySearch {
     std::copy_n(best_.gram, beams_ * beams_, trial_.gram);
     std::copy_n(best_.rhs, beams_, trial_.rhs);
     trial_.delays[k] = delay_s;
-    fill_column(column(trial_, k), taps_, ts_, bandwidth_hz_, delay_s);
+    dsp::sinc_column(ts_, bandwidth_hz_, delay_s, taps_, column(trial_, k));
     for (std::size_t j = 0; j < beams_; ++j) {
       const std::size_t row = std::max(j, k);
       const std::size_t col = std::min(j, k);
@@ -258,8 +250,8 @@ CVec reconstruct_cir(const SuperresResult& fit, std::size_t num_taps,
   const std::size_t beams = fit.delays_s.size();
   RVec cols(beams * num_taps);
   for (std::size_t k = 0; k < beams; ++k) {
-    fill_column(cols.data() + k * num_taps, num_taps, ts, bandwidth_hz,
-                fit.delays_s[k]);
+    dsp::sinc_column(ts, bandwidth_hz, fit.delays_s[k], num_taps,
+                     cols.data() + k * num_taps);
   }
   CVec model(num_taps);
   for (std::size_t n = 0; n < num_taps; ++n) {

@@ -24,9 +24,10 @@
 // backend use set_backend() and check its return value instead.
 //
 // Accuracy contract: kScalar is the reference. Fast backends may
-// reassociate accumulations and evaluate phasors by anchor+rotation, so
-// their results differ from the reference by a declared, bounded amount
-// (see tolerances() and the table in DESIGN.md), enforced per backend by
+// reassociate accumulations, evaluate phasors by anchor+rotation and (AVX2)
+// evaluate log/sin/cos with in-tree polynomials instead of libm, so their
+// results differ from the reference by a declared, bounded amount (see
+// tolerances() and the table in DESIGN.md), enforced per backend by
 // tests/dsp/kernel_differential_test.cpp over >= 1e4 randomized cases.
 //
 // Thread safety: set_backend() publishes the table with a relaxed atomic
@@ -68,6 +69,12 @@ struct KernelTable {
   void (*accumulate_delay_phasors)(cplx alpha, const double* freqs,
                                    double delay_s, cplx* dst,
                                    std::size_t n) = nullptr;
+  void (*box_muller)(const double* uniforms, std::size_t pairs,
+                     double* normals) = nullptr;
+  void (*impair_csi)(const cplx* truth, const cplx* noise, double phase0,
+                     double slope, std::size_t n, cplx* out) = nullptr;
+  void (*sinc_column)(double ts, double bandwidth, double tau, std::size_t n,
+                      double* out) = nullptr;
 };
 
 /// Relative/absolute error bound of one kernel vs the scalar reference: a
@@ -88,6 +95,9 @@ struct KernelTolerances {
   Tolerance dot;              ///< cdot and dot_phasor_ramp
   Tolerance axpy;             ///< axpy and axpy_phasor_ramp
   Tolerance delay_phasors;
+  Tolerance box_muller;       ///< per normal, scale r = sqrt(-2 ln u1)
+  Tolerance impair_csi;       ///< per component, scale |truth + noise|
+  Tolerance sinc_column;      ///< per tap, scale 1
 };
 
 /// Backends compiled into this binary, in dispatch-priority order

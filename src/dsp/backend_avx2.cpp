@@ -446,6 +446,9 @@ const KernelTable* avx2_table() {
     t.axpy = &avx2_axpy;
     t.axpy_phasor_ramp = &avx2_axpy_phasor_ramp;
     t.accumulate_delay_phasors = &avx2_accumulate_delay_phasors;
+    t.box_muller = &avx2_box_muller;
+    t.impair_csi = &avx2_impair_csi;
+    t.sinc_column = &avx2_sinc_column;
     return t;
   }();
   return &table;

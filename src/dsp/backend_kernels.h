@@ -26,6 +26,16 @@ void scalar_axpy(cplx alpha, const cplx* x, cplx* y, std::size_t n);
 void scalar_axpy_phasor_ramp(cplx alpha, double step, cplx* y, std::size_t n);
 void scalar_accumulate_delay_phasors(cplx alpha, const double* freqs,
                                      double delay_s, cplx* dst, std::size_t n);
+void scalar_box_muller(const double* uniforms, std::size_t pairs,
+                       double* normals);
+void scalar_impair_csi(const cplx* truth, const cplx* noise, double phase0,
+                       double slope, std::size_t n, cplx* out);
+/// Element k of scalar_impair_csi (the fast backends' fallback for
+/// elements outside their range).
+cplx scalar_impair_csi_at(const cplx* truth, const cplx* noise, double phase0,
+                          double slope, std::size_t k);
+void scalar_sinc_column(double ts, double bandwidth, double tau,
+                        std::size_t n, double* out);
 
 // ---------------------------------------------------------------------------
 // Portable FMA-restructured kernels (backend_portable.cpp): plain C++,
@@ -43,6 +53,17 @@ void portable_axpy_phasor_ramp(cplx alpha, double step, cplx* y,
 void portable_accumulate_delay_phasors(cplx alpha, const double* freqs,
                                        double delay_s, cplx* dst,
                                        std::size_t n);
+
+// ---------------------------------------------------------------------------
+// AVX2 transcendental kernels (backend_avx2_math.cpp, x86-64 only): 4-wide
+// polynomial log/sin/cos in place of libm.
+// ---------------------------------------------------------------------------
+void avx2_box_muller(const double* uniforms, std::size_t pairs,
+                     double* normals);
+void avx2_impair_csi(const cplx* truth, const cplx* noise, double phase0,
+                     double slope, std::size_t n, cplx* out);
+void avx2_sinc_column(double ts, double bandwidth, double tau, std::size_t n,
+                      double* out);
 
 // ---------------------------------------------------------------------------
 // Shared building blocks.

@@ -4,7 +4,9 @@
 // same raw-formula / multi-accumulator structure as the portable
 // backend, and the phasor/delay kernels -- whose cost is libm sincos,
 // not arithmetic -- reuse the portable anchor+delta implementations
-// directly, so the declared NEON tolerances equal the portable ones.
+// directly, so the declared NEON tolerances equal the portable ones. The
+// transcendental kernels (box_muller, impair_csi, sinc_column) point at
+// the scalar reference, as in the portable table.
 #if defined(__aarch64__)
 
 #include <arm_neon.h>
@@ -88,6 +90,9 @@ const KernelTable* neon_table() {
     t.axpy = &neon_axpy;
     t.axpy_phasor_ramp = &portable_axpy_phasor_ramp;
     t.accumulate_delay_phasors = &portable_accumulate_delay_phasors;
+    t.box_muller = &scalar_box_muller;
+    t.impair_csi = &scalar_impair_csi;
+    t.sinc_column = &scalar_sinc_column;
     return t;
   }();
   return &table;

@@ -15,6 +15,11 @@
 //    splitting reductions across 4 accumulators keeps the loop in
 //    registers. Reassociation changes rounding, covered by the declared
 //    dot tolerance.
+//
+// The transcendental kernels (box_muller, impair_csi, sinc_column) have no
+// anchor to share: every element needs its own log/sincos. Plain C++ has
+// no faster way to evaluate those than libm, so this table points them at
+// the scalar reference.
 #include <cmath>
 #include <cstddef>
 
@@ -242,6 +247,9 @@ const KernelTable* portable_table() {
     t.axpy = &portable_axpy;
     t.axpy_phasor_ramp = &portable_axpy_phasor_ramp;
     t.accumulate_delay_phasors = &portable_accumulate_delay_phasors;
+    t.box_muller = &scalar_box_muller;
+    t.impair_csi = &scalar_impair_csi;
+    t.sinc_column = &scalar_sinc_column;
     return t;
   }();
   return &table;

@@ -10,6 +10,7 @@
 #include "common/types.h"
 #include "dsp/backend.h"
 #include "dsp/backend_kernels.h"
+#include "dsp/sinc.h"
 
 namespace mmr::dsp::detail {
 
@@ -80,6 +81,42 @@ void scalar_accumulate_delay_phasors(cplx alpha, const double* freqs,
   }
 }
 
+// Rng::normal's Box-Muller step, one uniform pair at a time. u2 is read
+// before either output is written, so normals may equal uniforms.
+void scalar_box_muller(const double* uniforms, std::size_t pairs,
+                       double* normals) {
+  for (std::size_t i = 0; i < pairs; ++i) {
+    double u1 = uniforms[2 * i];
+    if (u1 <= 0.0) u1 = 0x1.0p-53;
+    const double u2 = uniforms[2 * i + 1];
+    const double r = std::sqrt(-2.0 * std::log(u1));
+    normals[2 * i] = r * std::cos(2.0 * kPi * u2);
+    normals[2 * i + 1] = r * std::sin(2.0 * kPi * u2);
+  }
+}
+
+// The phy::ChannelEstimator probe loop: AWGN, then the CFO/SFO rotation.
+cplx scalar_impair_csi_at(const cplx* truth, const cplx* noise, double phase0,
+                          double slope, std::size_t k) {
+  const double phase = phase0 + slope * static_cast<double>(k);
+  const cplx rot(std::cos(phase), std::sin(phase));
+  return (truth[k] + noise[k]) * rot;
+}
+
+void scalar_impair_csi(const cplx* truth, const cplx* noise, double phase0,
+                       double slope, std::size_t n, cplx* out) {
+  for (std::size_t k = 0; k < n; ++k) {
+    out[k] = scalar_impair_csi_at(truth, noise, phase0, slope, k);
+  }
+}
+
+void scalar_sinc_column(double ts, double bandwidth, double tau,
+                        std::size_t n, double* out) {
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = sampled_sinc_tap(i, ts, bandwidth, tau);
+  }
+}
+
 RampDeltas compute_ramp_deltas(double step) {
   RampDeltas d;
   for (std::size_t k = 0; k < kRampBlock; ++k) {
@@ -124,6 +161,9 @@ const KernelTable* scalar_table() {
     t.axpy = &scalar_axpy;
     t.axpy_phasor_ramp = &scalar_axpy_phasor_ramp;
     t.accumulate_delay_phasors = &scalar_accumulate_delay_phasors;
+    t.box_muller = &scalar_box_muller;
+    t.impair_csi = &scalar_impair_csi;
+    t.sinc_column = &scalar_sinc_column;
     return t;
   }();
   return &table;

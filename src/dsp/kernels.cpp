@@ -55,4 +55,21 @@ void accumulate_delay_phasors(cplx alpha, const double* freqs, double delay_s,
   active_table().accumulate_delay_phasors(alpha, freqs, delay_s, dst, n);
 }
 
+void box_muller(const double* uniforms, std::size_t pairs, double* normals) {
+  active_table().box_muller(uniforms, pairs, normals);
+}
+
+void fill_normal(Rng& rng, double* out, std::size_t n) {
+  rng.fill_normal(out, n, active_table().box_muller);
+}
+
+void fill_complex_normal(Rng& rng, cplx* out, std::size_t n, double variance) {
+  rng.fill_complex_normal(out, n, variance, active_table().box_muller);
+}
+
+void impair_csi(const cplx* truth, const cplx* noise, double phase0,
+                double slope, std::size_t n, cplx* out) {
+  active_table().impair_csi(truth, noise, phase0, slope, n, out);
+}
+
 }  // namespace mmr::dsp

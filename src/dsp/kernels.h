@@ -30,6 +30,7 @@
 
 #include <cstddef>
 
+#include "common/rng.h"
 #include "common/types.h"
 
 namespace mmr::dsp {
@@ -101,5 +102,26 @@ void axpy_phasor_ramp(cplx alpha, double step, cplx* y, std::size_t n);
 /// scalar loop it replaces in channel/wideband.cpp.
 void accumulate_delay_phasors(cplx alpha, const double* freqs, double delay_s,
                               cplx* dst, std::size_t n);
+
+/// Box-Muller step of Rng::normal over `pairs` uniform pairs:
+/// (u1, u2) = (uniforms[2i], uniforms[2i+1]) gives
+/// normals[2i] = r cos(2 pi u2), normals[2i+1] = r sin(2 pi u2) with
+/// r = sqrt(-2 ln u1), u1 <= 0 read as 2^-53. `normals` may equal
+/// `uniforms` (in place); any other overlap is undefined.
+void box_muller(const double* uniforms, std::size_t pairs, double* normals);
+
+/// n sequential rng.normal() draws into out[0..n) through the active
+/// backend's box_muller (Rng::fill_normal).
+void fill_normal(Rng& rng, double* out, std::size_t n);
+
+/// n sequential rng.complex_normal(variance) draws into out[0..n)
+/// (Rng::fill_complex_normal).
+void fill_complex_normal(Rng& rng, cplx* out, std::size_t n, double variance);
+
+/// Probe impairment of phy::ChannelEstimator (AWGN, then the CFO/SFO
+/// rotation): out[k] = (truth[k] + noise[k]) * exp(j (phase0 + slope k)).
+/// `out` may equal `truth` or `noise`; any other overlap is undefined.
+void impair_csi(const cplx* truth, const cplx* noise, double phase0,
+                double slope, std::size_t n, cplx* out);
 
 }  // namespace mmr::dsp

@@ -4,6 +4,7 @@
 
 #include "common/angles.h"
 #include "common/error.h"
+#include "dsp/backend.h"
 
 namespace mmr::dsp {
 
@@ -18,11 +19,15 @@ double sampled_sinc_tap(std::size_t n, double ts, double bandwidth, double tau) 
   return sinc(bandwidth * (static_cast<double>(n) * ts - tau));
 }
 
+void sinc_column(double ts, double bandwidth, double tau, std::size_t n,
+                 double* out) {
+  MMR_EXPECTS(ts > 0.0 && bandwidth > 0.0);
+  active_table().sinc_column(ts, bandwidth, tau, n, out);
+}
+
 RVec sampled_sinc(std::size_t num_taps, double ts, double bandwidth, double tau) {
   RVec out(num_taps);
-  for (std::size_t n = 0; n < num_taps; ++n) {
-    out[n] = sampled_sinc_tap(n, ts, bandwidth, tau);
-  }
+  sinc_column(ts, bandwidth, tau, num_taps, out.data());
   return out;
 }
 

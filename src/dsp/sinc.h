@@ -18,7 +18,13 @@ double sinc(double x);
 /// (paper Eq. 22: sinc(B (n ts - tau))).
 double sampled_sinc_tap(std::size_t n, double ts, double bandwidth, double tau);
 
-/// Full sampled pulse of `num_taps` taps for delay tau.
+/// Taps 0..n-1 of that pulse into out[0..n): the super-resolution
+/// dictionary column. Dispatched through the kernel backend table
+/// (dsp/backend.h); the scalar backend is exactly sampled_sinc_tap.
+void sinc_column(double ts, double bandwidth, double tau, std::size_t n,
+                 double* out);
+
+/// Full sampled pulse of `num_taps` taps for delay tau (sinc_column).
 RVec sampled_sinc(std::size_t num_taps, double ts, double bandwidth, double tau);
 
 /// Band-limited interpolation of a sampled CIR at fractional delay tau:

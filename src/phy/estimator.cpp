@@ -4,6 +4,7 @@
 
 #include "common/angles.h"
 #include "common/error.h"
+#include "dsp/kernels.h"
 
 namespace mmr::phy {
 
@@ -19,6 +20,14 @@ ChannelEstimator::ChannelEstimator(EstimatorConfig config, Rng rng)
 
 CVec ChannelEstimator::estimate(const CVec& true_csi) {
   MMR_EXPECTS(!true_csi.empty());
+  CVec est(true_csi.size());
+  estimate_into(true_csi.data(), true_csi.size(), est.data());
+  return est;
+}
+
+void ChannelEstimator::estimate_into(const cplx* true_csi, std::size_t n,
+                                     cplx* out) {
+  MMR_EXPECTS(n > 0);
   // CFO: per-probe carrier phase.
   if (config_.random_cfo_phase) {
     cfo_phase_ = rng_.uniform(0.0, 2.0 * kPi);
@@ -28,17 +37,13 @@ CVec ChannelEstimator::estimate(const CVec& true_csi) {
   }
   // SFO: linear phase ramp across subcarriers, fresh slope per probe.
   const double slope = rng_.normal(0.0, config_.sfo_slope_std_rad);
-  // AWGN in channel-gain units. |H|^2 / noise_var == estimation SNR.
+  // AWGN in channel-gain units. |H|^2 / noise_var == estimation SNR. The
+  // noise is drawn into `out`, which the impairment kernel then
+  // overwrites element by element.
   const double noise_var =
       config_.noise_gain_0db / config_.pilot_averaging_gain;
-
-  CVec est(true_csi.size());
-  for (std::size_t k = 0; k < true_csi.size(); ++k) {
-    const double phase = cfo_phase_ + slope * static_cast<double>(k);
-    const cplx rot(std::cos(phase), std::sin(phase));
-    est[k] = (true_csi[k] + rng_.complex_normal(noise_var)) * rot;
-  }
-  return est;
+  dsp::fill_complex_normal(rng_, out, n, noise_var);
+  dsp::impair_csi(true_csi, out, cfo_phase_, slope, n, out);
 }
 
 double ChannelEstimator::estimate_power(const CVec& true_csi) {

@@ -40,6 +40,11 @@ class ChannelEstimator {
   /// CFO/SFO phase impairments.
   CVec estimate(const CVec& true_csi);
 
+  /// Allocation-free form of estimate: writes the n-subcarrier estimate of
+  /// true_csi[0..n) into out[0..n), which must not overlap true_csi.
+  /// Same draws and same values as estimate.
+  void estimate_into(const cplx* true_csi, std::size_t n, cplx* out);
+
   /// Magnitude-only power estimate: mean |H(k)|^2 across subcarriers of a
   /// fresh probe. Robust to CFO/SFO by construction.
   double estimate_power(const CVec& true_csi);

@@ -1,10 +1,12 @@
 #include "sim/world.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <numeric>
 
 #include "common/error.h"
+#include "dsp/kernels.h"
 #include "sim/workspace.h"
 
 namespace mmr::sim {
@@ -107,71 +109,82 @@ void LinkWorld::set_time(double t_s) {
 
 core::LinkProbeInterface LinkWorld::probe_interface() {
   core::LinkProbeInterface link;
-  link.csi = [this](const CVec& weights) -> CVec {
-    if (paths_.empty()) {
-      // Fully occluded: the estimate is pure noise.
-      CVec noise(config_.spec.num_subcarriers);
-      const double var = phy::noise_reference(config_.budget) /
-                         config_.pilot_averaging_gain;
-      for (cplx& c : noise) c = rng_.complex_normal(var);
-      return noise;
-    }
-    const CVec truth = channel::effective_csi(paths_, config_.tx_ula, weights,
-                                              config_.spec, config_.rx);
-    return estimator_.estimate(truth);
-  };
-  link.cir = [this](const CVec& weights, std::size_t num_taps) -> CVec {
-    const double var = phy::noise_reference(config_.budget) /
-                       config_.pilot_averaging_gain /
-                       static_cast<double>(config_.spec.num_subcarriers);
-    CVec cir(num_taps, cplx{});
-    if (!paths_.empty()) {
-      const double jitter = rng_.normal(0.0, config_.timing_jitter_std_s);
-      cir = channel::effective_cir(paths_, config_.tx_ula, weights,
-                                   config_.spec, num_taps, config_.rx,
-                                   std::abs(jitter));
-    }
-    // CFO: a common rotation leaves |taps| intact but keeps controllers
-    // honest about not relying on absolute phase.
-    const cplx rot = std::polar(1.0, rng_.uniform(0.0, 2.0 * 3.14159265358979));
-    for (cplx& c : cir) c = c * rot + rng_.complex_normal(var);
-    return cir;
+  link.csi = [this](const CVec& w) { return probe_csi(w, config_.rx); };
+  link.cir = [this](const CVec& w, std::size_t num_taps) {
+    return probe_cir(w, config_.rx, num_taps);
   };
   return link;
 }
 
 LinkWorld::JointProbe LinkWorld::joint_probe_interface() {
   JointProbe jp;
-  jp.csi = [this](const CVec& tx_w, const CVec& rx_w) -> CVec {
-    if (paths_.empty()) {
-      CVec noise(config_.spec.num_subcarriers);
-      const double var = phy::noise_reference(config_.budget) /
-                         config_.pilot_averaging_gain;
-      for (cplx& c : noise) c = rng_.complex_normal(var);
-      return noise;
-    }
-    const auto rx = channel::RxFrontend::beam(config_.ue_ula, rx_w);
-    const CVec truth = channel::effective_csi(paths_, config_.tx_ula, tx_w,
-                                              config_.spec, rx);
-    return estimator_.estimate(truth);
+  jp.csi = [this](const CVec& tx_w, const CVec& rx_w) {
+    return probe_csi(tx_w, channel::RxFrontend::beam(config_.ue_ula, rx_w));
   };
-  jp.cir = [this](const CVec& tx_w, const CVec& rx_w,
-                  std::size_t num_taps) -> CVec {
-    const double var = phy::noise_reference(config_.budget) /
-                       config_.pilot_averaging_gain /
-                       static_cast<double>(config_.spec.num_subcarriers);
-    CVec cir(num_taps, cplx{});
-    if (!paths_.empty()) {
-      const auto rx = channel::RxFrontend::beam(config_.ue_ula, rx_w);
-      const double jitter = rng_.normal(0.0, config_.timing_jitter_std_s);
-      cir = channel::effective_cir(paths_, config_.tx_ula, tx_w, config_.spec,
-                                   num_taps, rx, std::abs(jitter));
-    }
-    const cplx rot = std::polar(1.0, rng_.uniform(0.0, 2.0 * 3.14159265358979));
-    for (cplx& c : cir) c = c * rot + rng_.complex_normal(var);
-    return cir;
+  jp.cir = [this](const CVec& tx_w, const CVec& rx_w, std::size_t num_taps) {
+    return probe_cir(tx_w, channel::RxFrontend::beam(config_.ue_ula, rx_w),
+                     num_taps);
   };
   return jp;
+}
+
+CVec LinkWorld::probe_csi(const CVec& tx_w, const channel::RxFrontend& rx) {
+  const std::size_t n = config_.spec.num_subcarriers;
+  CVec est(n);
+  if (paths_.empty()) {
+    // Fully occluded: the estimate is pure noise.
+    dsp::fill_complex_normal(rng_, est.data(), n,
+                             phy::noise_reference(config_.budget) /
+                                 config_.pilot_averaging_gain);
+  } else if (ws_ == nullptr) {
+    estimator_.estimate_into(
+        channel::effective_csi(paths_, config_.tx_ula, tx_w, config_.spec, rx)
+            .data(),
+        n, est.data());
+  } else {
+    auto& truth = ws_->csi();
+    truth.resize(n);
+    channel::effective_csi_into(paths_, config_.tx_ula, tx_w, config_.spec,
+                                rx, workspace_freqs(), truth.data());
+    estimator_.estimate_into(truth.data(), n, est.data());
+  }
+  return est;
+}
+
+CVec LinkWorld::probe_cir(const CVec& tx_w, const channel::RxFrontend& rx,
+                          std::size_t num_taps) {
+  const double var = phy::noise_reference(config_.budget) /
+                     config_.pilot_averaging_gain /
+                     static_cast<double>(config_.spec.num_subcarriers);
+  CVec cir;
+  if (paths_.empty()) {
+    cir.assign(num_taps, cplx{});
+  } else {
+    const double jitter = rng_.normal(0.0, config_.timing_jitter_std_s);
+    cir = channel::effective_cir(paths_, config_.tx_ula, tx_w, config_.spec,
+                                 num_taps, rx, std::abs(jitter));
+  }
+  // CFO: a common rotation leaves |taps| intact but keeps controllers
+  // honest about not relying on absolute phase.
+  const cplx rot = std::polar(1.0, rng_.uniform(0.0, 2.0 * 3.14159265358979));
+  // AWGN, a stack chunk at a time (the fills continue one draw sequence).
+  std::array<cplx, 32> noise;
+  for (std::size_t i = 0; i < cir.size(); i += noise.size()) {
+    const std::size_t m = std::min(noise.size(), cir.size() - i);
+    dsp::fill_complex_normal(rng_, noise.data(), m, var);
+    for (std::size_t j = 0; j < m; ++j) cir[i + j] = cir[i + j] * rot + noise[j];
+  }
+  return cir;
+}
+
+const double* LinkWorld::workspace_freqs() const {
+  const std::size_t n = config_.spec.num_subcarriers;
+  auto& freqs = ws_->freqs();
+  if (freqs.size() != n) {
+    freqs.resize(n);
+    channel::fill_freq_grid(config_.spec, freqs.data());
+  }
+  return freqs.data();
 }
 
 double LinkWorld::true_snr_db_joint(const CVec& tx_w, const CVec& rx_w) const {
@@ -186,17 +199,11 @@ double LinkWorld::true_snr_db_joint(const CVec& tx_w, const CVec& rx_w) const {
 double LinkWorld::true_power(const CVec& tx_weights) const {
   if (paths_.empty()) return 0.0;
   if (ws_ != nullptr) {
-    const std::size_t n = config_.spec.num_subcarriers;
-    auto& freqs = ws_->freqs();
     auto& csi = ws_->csi();
-    if (freqs.size() != n) {
-      freqs.resize(n);
-      channel::fill_freq_grid(config_.spec, freqs.data());
-    }
-    csi.resize(n);
+    csi.resize(config_.spec.num_subcarriers);
     return channel::received_power_prepared(paths_, config_.tx_ula,
                                             tx_weights, config_.spec,
-                                            config_.rx, freqs.data(),
+                                            config_.rx, workspace_freqs(),
                                             csi.data());
   }
   return channel::received_power(paths_, config_.tx_ula, tx_weights,

@@ -55,9 +55,10 @@ class LinkWorld {
   void add_irs(channel::IrsPanel panel);
 
   /// Bind per-trial scratch for the scoring hot path (set_time +
-  /// true_power/true_snr_db): the frequency grid is cached and the CSI /
-  /// path-order scratch live on the workspace arena, so the steady-state
-  /// scoring loop allocates nothing. Results are bit-identical with or
+  /// true_power/true_snr_db) and the CSI probes: the frequency grid is
+  /// cached and the CSI / path-order scratch live on the workspace arena,
+  /// so the steady-state scoring loop allocates nothing and a CSI probe
+  /// allocates only its result. Results are bit-identical with or
   /// without a workspace. Pass nullptr to unbind. The workspace must
   /// outlive this world (or the unbind).
   void bind_workspace(TrialWorkspace* ws) { ws_ = ws; }
@@ -100,6 +101,14 @@ class LinkWorld {
   /// Stable path index for the event process: 0 = LOS, then NLOS paths by
   /// descending nominal power.
   std::vector<std::size_t> stable_order() const;
+
+  /// The impaired probes behind both interfaces, received through `rx`.
+  CVec probe_csi(const CVec& tx_w, const channel::RxFrontend& rx);
+  CVec probe_cir(const CVec& tx_w, const channel::RxFrontend& rx,
+                 std::size_t num_taps);
+
+  /// The bound workspace's subcarrier grid, filled on first use.
+  const double* workspace_freqs() const;
 
   channel::Environment env_;
   channel::Pose tx_pose_;

@@ -157,13 +157,17 @@ inline RVec polyfit(const RVec& x, const RVec& y, std::size_t degree) {
   return out;
 }
 
+/// The production dictionary's columns come from the dispatched
+/// dsp::sinc_column, so the reference takes its taps from the same kernel:
+/// the solve is then pinned bit for bit on every backend, not just scalar.
 inline CMatrix sinc_dictionary(std::size_t num_taps, double ts,
                                double bandwidth_hz, const RVec& delays_s) {
   CMatrix s(num_taps, delays_s.size());
+  RVec pulse(num_taps);
   for (std::size_t col = 0; col < delays_s.size(); ++col) {
+    dsp::sinc_column(ts, bandwidth_hz, delays_s[col], num_taps, pulse.data());
     for (std::size_t n = 0; n < num_taps; ++n) {
-      s(n, col) =
-          cplx{dsp::sampled_sinc_tap(n, ts, bandwidth_hz, delays_s[col]), 0.0};
+      s(n, col) = cplx{pulse[n], 0.0};
     }
   }
   return s;

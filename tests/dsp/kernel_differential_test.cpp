@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -26,6 +27,7 @@
 #include "core/multibeam.h"
 #include "dsp/backend.h"
 #include "dsp/kernels.h"
+#include "dsp/sinc.h"
 #include "tests/common/diff_harness.h"
 
 namespace mmr {
@@ -276,6 +278,84 @@ TEST_F(KernelDiff, DelayPhasorAccumulateMatchesScalarLoop) {
     }
   }
   audit.finish(2400);
+}
+
+// The transcendental kernels' scalar entries are the loops they replaced,
+// restated here: Rng::normal's Box-Muller step, the ChannelEstimator probe
+// loop and dsp::sampled_sinc_tap. 0 ULP.
+
+void ref_box_muller(double u1, double u2, double* z0, double* z1) {
+  if (u1 <= 0.0) u1 = 0x1.0p-53;
+  const double r = std::sqrt(-2.0 * std::log(u1));
+  *z0 = r * std::cos(2.0 * kPi * u2);
+  *z1 = r * std::sin(2.0 * kPi * u2);
+}
+
+cplx ref_impair(cplx truth, cplx noise, double phase0, double slope,
+                std::size_t k) {
+  const double phase = phase0 + slope * static_cast<double>(k);
+  const cplx rot(std::cos(phase), std::sin(phase));
+  return (truth + noise) * rot;
+}
+
+TEST_F(KernelDiff, BoxMullerMatchesRngNormalStep) {
+  Rng base(0xB0C5D1ull);
+  UlpAudit audit("box_muller");
+  for (std::uint64_t c = 0; c < 400; ++c) {
+    Rng rng = base.fork(c);
+    const std::size_t pairs = rng.uniform_index(64);
+    RVec u(2 * pairs);
+    for (double& x : u) x = rng.uniform();
+    if (pairs > 0 && rng.bernoulli(0.1)) u[0] = 0.0;
+    RVec got(2 * pairs);
+    dsp::box_muller(u.data(), pairs, got.data());
+    for (std::size_t p = 0; p < pairs; ++p) {
+      double z0;
+      double z1;
+      ref_box_muller(u[2 * p], u[2 * p + 1], &z0, &z1);
+      audit.compare(got[2 * p], z0, 0);
+      audit.compare(got[2 * p + 1], z1, 0);
+    }
+  }
+  audit.finish(10000);
+}
+
+TEST_F(KernelDiff, ImpairCsiMatchesEstimatorLoop) {
+  Rng base(0x1A9A12ull);
+  UlpAudit audit("impair_csi");
+  for (std::uint64_t c = 0; c < 300; ++c) {
+    Rng rng = base.fork(c);
+    const std::size_t n = rng.uniform_index(130);
+    const CVec truth = random_cvec(rng, n);
+    const CVec noise = random_cvec(rng, n);
+    const double phase0 = rng.uniform(0.0, 2.0 * kPi);
+    const double slope = rng.normal(0.0, 0.05);
+    CVec got(n);
+    dsp::impair_csi(truth.data(), noise.data(), phase0, slope, n, got.data());
+    for (std::size_t k = 0; k < n; ++k) {
+      audit.compare(got[k], ref_impair(truth[k], noise[k], phase0, slope, k),
+                    0);
+    }
+  }
+  audit.finish(10000);
+}
+
+TEST_F(KernelDiff, SincColumnMatchesSampledSincTaps) {
+  Rng base(0x51C0ull);
+  UlpAudit audit("sinc_column");
+  for (std::uint64_t c = 0; c < 400; ++c) {
+    Rng rng = base.fork(c);
+    const double bw = rng.uniform(50e6, 2e9);
+    const double ts = 1.0 / bw;
+    const double tau = rng.uniform(-5.0, 60.0) * ts;
+    const std::size_t n = rng.uniform_index(64);
+    RVec got(n);
+    dsp::sinc_column(ts, bw, tau, n, got.data());
+    for (std::size_t i = 0; i < n; ++i) {
+      audit.compare(got[i], dsp::sampled_sinc_tap(i, ts, bw, tau), 0);
+    }
+  }
+  audit.finish(10000);
 }
 
 // ---------------------------------------------------------------------------
@@ -843,6 +923,232 @@ TEST_P(KernelBackendSweep, BatchedSteeringEvaluatorsWithinTolerance) {
     });
   }
   audit.finish(10000);
+}
+
+// The transcendental kernels over their production input ranges: uniforms
+// in [0, 1) (plus exact zeros), CFO phases in [0, 2 pi) with SFO slopes up
+// to several rad/subcarrier, and sinc pulses across the CIR window.
+TEST_P(KernelBackendSweep, BoxMullerWithinDeclaredTolerance) {
+  Rng base(0xB0C5B4C4ull);
+  UlpAudit audit(std::string("box_muller/") +
+                 std::string(dsp::backend_name(GetParam())));
+  for (std::uint64_t c = 0; c < 400; ++c) {
+    Rng rng = base.fork(c);
+    const std::size_t pairs = rng.uniform_index(64);
+    RVec u(2 * pairs);
+    for (double& x : u) x = rng.uniform();
+    if (pairs > 0 && rng.bernoulli(0.1)) u[2 * rng.uniform_index(pairs)] = 0.0;
+    RVec ref(2 * pairs);
+    {
+      dsp::ScopedBackend scalar(dsp::Backend::kScalar);
+      ASSERT_TRUE(scalar.ok());
+      dsp::box_muller(u.data(), pairs, ref.data());
+    }
+    with_backend([&] {
+      RVec got = u;  // in place, as Rng::fill_normal calls it
+      dsp::box_muller(got.data(), pairs, got.data());
+      for (std::size_t p = 0; p < pairs; ++p) {
+        const double r = std::hypot(ref[2 * p], ref[2 * p + 1]);
+        audit.compare_tol(got[2 * p], ref[2 * p], tol_.box_muller, r);
+        audit.compare_tol(got[2 * p + 1], ref[2 * p + 1], tol_.box_muller, r);
+      }
+    });
+  }
+  audit.finish(10000);
+}
+
+TEST_P(KernelBackendSweep, ImpairCsiWithinDeclaredTolerance) {
+  Rng base(0x1A9AB4C4ull);
+  UlpAudit audit(std::string("impair_csi/") +
+                 std::string(dsp::backend_name(GetParam())));
+  for (std::uint64_t c = 0; c < 300; ++c) {
+    Rng rng = base.fork(c);
+    const std::size_t n = rng.uniform_index(130);
+    const double scale = std::pow(10.0, rng.uniform(-8.0, 0.0));
+    CVec truth = random_cvec(rng, n);
+    CVec noise = random_cvec(rng, n);
+    for (std::size_t k = 0; k < n; ++k) {
+      truth[k] *= scale;
+      noise[k] *= 0.1 * scale;
+    }
+    const double phase0 = rng.uniform(0.0, 2.0 * kPi);
+    const double slope =
+        rng.bernoulli(0.8) ? rng.normal(0.0, 0.01) : rng.uniform(-3.0, 3.0);
+    CVec ref(n);
+    {
+      dsp::ScopedBackend scalar(dsp::Backend::kScalar);
+      ASSERT_TRUE(scalar.ok());
+      dsp::impair_csi(truth.data(), noise.data(), phase0, slope, n,
+                      ref.data());
+    }
+    with_backend([&] {
+      CVec got = noise;  // in place over the noise, as the estimator does
+      dsp::impair_csi(truth.data(), got.data(), phase0, slope, n, got.data());
+      for (std::size_t k = 0; k < n; ++k) {
+        const double mag = std::abs(truth[k] + noise[k]);
+        audit.compare_tol(got[k].real(), ref[k].real(), tol_.impair_csi, mag);
+        audit.compare_tol(got[k].imag(), ref[k].imag(), tol_.impair_csi, mag);
+      }
+    });
+  }
+  audit.finish(10000);
+}
+
+TEST_P(KernelBackendSweep, SincColumnWithinDeclaredTolerance) {
+  Rng base(0x51C0B4C4ull);
+  UlpAudit audit(std::string("sinc_column/") +
+                 std::string(dsp::backend_name(GetParam())));
+  for (std::uint64_t c = 0; c < 400; ++c) {
+    Rng rng = base.fork(c);
+    const double bw = rng.uniform(50e6, 2e9);
+    const double ts = 1.0 / bw;
+    // Every 4th column sits on a tap, so its centre tap hits sinc(0).
+    const double tau = (c % 4 == 0)
+                           ? static_cast<double>(rng.uniform_index(60)) * ts
+                           : rng.uniform(-5.0, 60.0) * ts;
+    const std::size_t n = rng.uniform_index(64);
+    RVec ref(n);
+    {
+      dsp::ScopedBackend scalar(dsp::Backend::kScalar);
+      ASSERT_TRUE(scalar.ok());
+      dsp::sinc_column(ts, bw, tau, n, ref.data());
+    }
+    with_backend([&] {
+      RVec got(n);
+      dsp::sinc_column(ts, bw, tau, n, got.data());
+      for (std::size_t i = 0; i < n; ++i) {
+        audit.compare_tol(got[i], ref[i], tol_.sinc_column, 1.0);
+      }
+    });
+  }
+  audit.finish(10000);
+}
+
+// Inputs outside the production ranges: empty and odd lengths, u1 == 0,
+// taps within 1e-12 of the pulse centre, huge finite arguments and
+// NaN/Inf. Non-finite reference results must come out identically
+// (NaN where the scalar loop gives NaN, the same infinity); finite ones
+// within the declared tolerance.
+class EdgeAudit {
+ public:
+  EdgeAudit(UlpAudit& audit, const dsp::Tolerance& tol)
+      : audit_(audit), tol_(tol) {}
+  void check(double got, double ref, double scale) {
+    if (std::isnan(ref)) {
+      EXPECT_TRUE(std::isnan(got)) << "got " << got << " for a NaN reference";
+    } else if (std::isinf(ref)) {
+      EXPECT_EQ(got, ref);
+    } else {
+      audit_.compare_tol(got, ref, tol_, std::isfinite(scale) ? scale : 1.0);
+    }
+  }
+
+ private:
+  UlpAudit& audit_;
+  dsp::Tolerance tol_;
+};
+
+TEST_P(KernelBackendSweep, TranscendentalEdgeCasesFollowTheScalarLoops) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::string name(dsp::backend_name(GetParam()));
+  const std::size_t lengths[] = {0, 1, 2, 3, 5, 6, 7, 9, 13};
+
+  // box_muller: every (u1, u2) combination below as one pair stream.
+  const double u1s[] = {0.0,   -0.0,  0x1.0p-53, 1e-300, 4.9e-324, 0.5,
+                        1.0,   -1.0,  1e300,     kNan,   kInf,     -kInf};
+  const double u2s[] = {0.0, 0.25, 0.5, 0.999, 1e12, kNan, kInf, -kInf};
+  RVec u;
+  for (double a : u1s) {
+    for (double b : u2s) {
+      u.push_back(a);
+      u.push_back(b);
+    }
+  }
+  UlpAudit bm_audit("box_muller edges/" + name);
+  EdgeAudit bm(bm_audit, tol_.box_muller);
+  for (std::size_t len : lengths) {
+    for (std::size_t start = 0; start + len <= u.size() / 2; start += 7) {
+      RVec ref(2 * len);
+      RVec got(2 * len);
+      {
+        dsp::ScopedBackend scalar(dsp::Backend::kScalar);
+        dsp::box_muller(u.data() + 2 * start, len, ref.data());
+      }
+      with_backend(
+          [&] { dsp::box_muller(u.data() + 2 * start, len, got.data()); });
+      for (std::size_t p = 0; p < len; ++p) {
+        const double r = std::hypot(ref[2 * p], ref[2 * p + 1]);
+        bm.check(got[2 * p], ref[2 * p], r);
+        bm.check(got[2 * p + 1], ref[2 * p + 1], r);
+      }
+    }
+  }
+  bm_audit.finish(0);
+
+  // impair_csi: special truth/noise entries, non-finite and huge phases.
+  // {Inf, NaN} rotates to an infinity through operator*'s Annex G
+  // recovery, where the plain formula gives NaN.
+  const CVec truth = {{1.0, -2.0},  {kNan, 0.0}, {kInf, kNan},  {kInf, 1.0},
+                      {0.0, 0.0},   {3.0, 4.0},  {-kInf, kInf}, {1e300, 1e300},
+                      {2.0, -1.0},  {0.0, kNan}, {1e-300, 0.0}, {-1.0, 0.25},
+                      {0.75, -0.5}};
+  const CVec noise = {{0.1, 0.1},   {0.0, 0.0},  {kInf, 0.0}, {0.0, 0.0},
+                      {-0.0, -0.0}, {0.2, -0.1}, {0.0, 0.0},  {1e300, 1e300},
+                      {0.0, 0.0},   {0.1, 0.0},  {0.0, 0.0},  {0.3, 0.3},
+                      {-0.2, 0.1}};
+  const double phases[][2] = {{0.3, 0.01}, {kNan, 0.0}, {0.0, kInf},
+                              {1e9, 0.0},  {2.0, 1e6},  {-kInf, 0.0}};
+  UlpAudit csi_audit("impair_csi edges/" + name);
+  EdgeAudit csi(csi_audit, tol_.impair_csi);
+  for (std::size_t len : lengths) {
+    for (const auto& ph : phases) {
+      CVec ref(len);
+      CVec got(len);
+      {
+        dsp::ScopedBackend scalar(dsp::Backend::kScalar);
+        dsp::impair_csi(truth.data(), noise.data(), ph[0], ph[1], len,
+                        ref.data());
+      }
+      with_backend([&] {
+        dsp::impair_csi(truth.data(), noise.data(), ph[0], ph[1], len,
+                        got.data());
+      });
+      for (std::size_t k = 0; k < len; ++k) {
+        const double mag = std::abs(truth[k] + noise[k]);
+        csi.check(got[k].real(), ref[k].real(), mag);
+        csi.check(got[k].imag(), ref[k].imag(), mag);
+      }
+    }
+  }
+  csi_audit.finish(0);
+
+  // sinc_column: centre taps (|x| < 1e-12), huge and non-finite delays.
+  const double bw = 400e6;
+  const double ts = 1.0 / bw;
+  const double taus[] = {0.0,      3.0 * ts,  3.0 * ts + 1e-13 * ts,
+                         -2.5 * ts, 1e6 * ts, 1e12 * ts,
+                         kNan,      kInf,     -kInf};
+  UlpAudit sinc_audit("sinc_column edges/" + name);
+  EdgeAudit sinc(sinc_audit, tol_.sinc_column);
+  for (std::size_t len : lengths) {
+    for (double tau : taus) {
+      RVec ref(len);
+      RVec got(len);
+      {
+        dsp::ScopedBackend scalar(dsp::Backend::kScalar);
+        dsp::sinc_column(ts, bw, tau, len, ref.data());
+      }
+      with_backend([&] { dsp::sinc_column(ts, bw, tau, len, got.data()); });
+      for (std::size_t i = 0; i < len; ++i) sinc.check(got[i], ref[i], 1.0);
+    }
+  }
+  sinc_audit.finish(0);
+  // The centre tap is exactly 1 on every backend.
+  RVec centre(8);
+  with_backend(
+      [&] { dsp::sinc_column(ts, bw, 3.0 * ts + 1e-13 * ts, 8, centre.data()); });
+  EXPECT_EQ(centre[3], 1.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(
