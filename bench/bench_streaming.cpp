@@ -85,16 +85,17 @@ long read_rss_kb() {
 /// in memory for the stdout table.
 class BenchSink final : public sim::TelemetrySink {
  public:
-  /// freeze_timing suppresses the {"rss": ...} lines -- RSS is machine
-  /// state like wall clock, and frozen output must be a pure function of
-  /// the spec (byte-identical across --jobs; thread stacks alone shift
-  /// VmRSS). The series is still sampled for the stdout table.
+  /// freeze_timing suppresses the {"rss": ...} lines and records every
+  /// sample as 0 -- RSS is machine state like wall clock, and frozen
+  /// output (JSON and the stdout table) must be a pure function of the
+  /// spec (byte-identical across --jobs; thread stacks alone shift
+  /// VmRSS).
   BenchSink(std::ostream& os, std::size_t flush_every_n, bool freeze_timing)
       : json_(os, false, flush_every_n), os_(os), freeze_(freeze_timing) {}
 
   void on_snapshot(const sim::StreamSnapshot& s) override {
     json_.on_snapshot(s);
-    const long rss = read_rss_kb();
+    const long rss = freeze_ ? 0 : read_rss_kb();
     if (!freeze_) {
       os_ << "{\"rss\": {\"index\": " << s.index << ", \"rss_kb\": " << rss
           << "}}\n";
@@ -281,14 +282,10 @@ int main(int argc, char** argv) {
   // (first/last boundary) -- the flat-memory evidence.
   {
     const sim::StreamSnapshot& f = result.final_snapshot;
-    // RSS is machine state: frozen output zeroes it like the wall-clock
-    // fields so the record stays a pure function of the spec.
-    const long rss_first = opts.freeze_timing || sink.rss_kb().empty()
-                               ? 0
-                               : sink.rss_kb().front();
-    const long rss_last = opts.freeze_timing || sink.rss_kb().empty()
-                              ? 0
-                              : sink.rss_kb().back();
+    // Frozen output records RSS as 0 (BenchSink), like the wall-clock
+    // fields, so the record stays a pure function of the spec.
+    const long rss_first = sink.rss_kb().empty() ? 0 : sink.rss_kb().front();
+    const long rss_last = sink.rss_kb().empty() ? 0 : sink.rss_kb().back();
     json_os.precision(10);
     json_os << "{\"streaming_summary\": {\"name\": \"" << spec.name
             << "\", \"sessions\": " << st.sessions

@@ -29,14 +29,7 @@ NetworkCampaignResult run_network_campaign(const NetworkCampaignSpec& spec,
     return summary;
   });
   result.timing = runner.timing();
-  if (spec.freeze_timing) {
-    result.timing.wall_s = 0.0;
-    result.timing.serial_equivalent_s = 0.0;
-    for (auto& trial : result.trials) {
-      trial.wall_s = 0.0;
-      trial.cpu_s = 0.0;
-    }
-  }
+  if (spec.freeze_timing) sim::freeze_sweep_timing(result.timing, result.trials);
   result.aggregate = sim::summarize_sweep(result.trials);
 
   if (sink != nullptr) {

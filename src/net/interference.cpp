@@ -65,10 +65,4 @@ RVec interferer_gain_batch(const array::Ula& ula, const CVec& weights,
   return out;
 }
 
-double sinr_db(double snr_db, double inr_linear) {
-  MMR_EXPECTS(inr_linear >= 0.0);
-  // to_db(1.0) == 0.0 exactly, so a zero-INR victim keeps its SNR bits.
-  return snr_db - to_db(1.0 + inr_linear);
-}
-
 }  // namespace mmr::net

@@ -20,6 +20,7 @@
 
 #include "array/geometry.h"
 #include "common/types.h"
+#include "phy/link_budget.h"
 
 namespace mmr::net {
 
@@ -61,10 +62,8 @@ RVec interferer_gain_batch(const array::Ula& ula, const CVec& weights,
                            const RVec& distances_m, double carrier_hz,
                            double coupling_loss_db = 0.0);
 
-/// Fold an interference-to-noise ratio into a serving-link SNR:
-/// SINR_dB = SNR_dB - 10 log10(1 + INR). Bitwise identity with the input
-/// SNR when inr_linear == 0 (the single-link collapse the byte-identity
-/// tests pin), and <= SNR for every INR >= 0.
-double sinr_db(double snr_db, double inr_linear);
+/// SINR_dB = SNR_dB - 10 log10(1 + INR) (phy/link_budget.h); the victim
+/// fold sim::LinkSession::score applies.
+using phy::sinr_db;
 
 }  // namespace mmr::net

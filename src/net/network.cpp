@@ -12,12 +12,9 @@
 #include "common/rng.h"
 #include "common/units.h"
 #include "net/terragraph.h"
-#include "phy/mcs.h"
-#include "sim/faults.h"
+#include "sim/runner.h"
 #include "sim/scenario.h"
 #include "sim/telemetry.h"
-#include "sim/workspace.h"
-#include "sim/world.h"
 
 namespace mmr::net {
 namespace {
@@ -26,20 +23,6 @@ inline constexpr std::size_t kNoCell = std::numeric_limits<std::size_t>::max();
 /// Sub-stream for the crowd scenarios' walker draws.
 inline constexpr std::uint64_t kCrowdSeedStream = 0xC20D;
 
-bool is_outdoor(const sim::ScenarioSpec& s) {
-  return s.name.rfind("outdoor", 0) == 0;
-}
-
-/// gNB position inside its cell's local frame (what the world factories
-/// hard-code; see sim/engine.cpp's add_link_blockers call sites).
-channel::Vec2 scenario_tx_local(const sim::ScenarioSpec& s) {
-  return is_outdoor(s) ? channel::Vec2{0.0, 0.0} : channel::Vec2{0.5, 6.2};
-}
-
-channel::Vec2 scenario_ue_local(const sim::ScenarioSpec& s) {
-  return is_outdoor(s) ? channel::Vec2{s.link_distance_m, 0.0} : s.ue_start;
-}
-
 channel::Vec2 rotate(channel::Vec2 v, double angle_rad) {
   const double c = std::cos(angle_rad), s = std::sin(angle_rad);
   return {v.x * c - v.y * s, v.x * s + v.y * c};
@@ -47,23 +30,15 @@ channel::Vec2 rotate(channel::Vec2 v, double angle_rad) {
 
 double norm(channel::Vec2 v) { return std::hypot(v.x, v.y); }
 
-/// Crowd-blockage scenario: the sparse indoor room plus a seed-derived
-/// crowd of walkers crossing the link line at random times/speeds/depths.
-/// Authored spec.blockers are added first (engine convention), then the
-/// crowd, so a crowd scenario composes with explicit blockage scripts.
+/// Crowd-blockage scenario: the sparse indoor room (with spec.blockers,
+/// the engine convention) plus a seed-derived crowd of walkers crossing
+/// the link line at random times/speeds/depths, so a crowd scenario
+/// composes with explicit blockage scripts.
 sim::LinkWorld make_crowd(const sim::ScenarioSpec& spec, std::size_t min_crowd,
                           std::size_t max_crowd) {
-  sim::ScenarioConfig config = spec.config;
-  config.sparse_room = true;
-  sim::LinkWorld world =
-      sim::make_indoor_world(config, spec.ue_velocity,
-                             spec.ue_rotation_rate_rad_s, spec.ue_start);
-  for (const sim::BlockerSpec& b : spec.blockers) {
-    world.add_blocker(sim::crossing_blocker({0.5, 6.2}, spec.ue_start,
-                                            b.crossing_time_s, b.speed_mps,
-                                            b.depth_db));
-  }
-  Rng rng(Rng::derive_stream_seed(config.seed, kCrowdSeedStream));
+  sim::LinkWorld world = sim::make_indoor(spec, /*force_sparse=*/true);
+  const sim::LinkEndpoints link = sim::link_endpoints(spec);
+  Rng rng(Rng::derive_stream_seed(spec.config.seed, kCrowdSeedStream));
   const std::size_t n =
       min_crowd + static_cast<std::size_t>(
                       rng.uniform_index(max_crowd - min_crowd + 1));
@@ -71,9 +46,8 @@ sim::LinkWorld make_crowd(const sim::ScenarioSpec& spec, std::size_t min_crowd,
     const double crossing_time_s = rng.uniform(0.1, 0.9);
     const double speed_mps = rng.uniform(0.8, 1.8);
     const double depth_db = rng.uniform(25.0, 35.0);
-    world.add_blocker(sim::crossing_blocker({0.5, 6.2}, spec.ue_start,
-                                            crossing_time_s, speed_mps,
-                                            depth_db));
+    world.add_blocker(sim::crossing_blocker(link.tx, link.ue, crossing_time_s,
+                                            speed_mps, depth_db));
   }
   return world;
 }
@@ -103,13 +77,10 @@ struct Network::Session {
   std::size_t home_cell = 0;
   std::size_t serving_cell = 0;
   std::uint64_t link_seed = 0;
-  /// Base fault seed (handover rebuilds derive per-rebuild streams).
-  std::uint64_t fault_seed = 0;
   sim::ScenarioSpec scenario;
-  std::unique_ptr<sim::LinkWorld> world;
-  std::unique_ptr<core::BeamController> controller;
-  std::unique_ptr<sim::FaultInjector> injector;
-  core::LinkProbeInterface iface;
+  /// World, controller and fault wiring of the serving cell's link;
+  /// replaced on handover.
+  std::unique_ptr<sim::LinkSession> radio;
   core::LinkStateMachine sm;
   // Global kinematics (macro layer): position = start + velocity * t,
   // independent of which cell currently serves.
@@ -119,14 +90,12 @@ struct Network::Session {
   // Batch tables keep birth_s = 0, so local time t - 0.0 is bitwise the
   // shared time and the historical behavior is unchanged.
   bool live = true;
-  bool started = false;
   double birth_s = 0.0;
   // Handover bookkeeping.
   std::size_t ttt_candidate = kNoCell;
   double ttt_since = 0.0;
   double last_handover_s = -1.0e18;
   std::size_t handovers = 0;
-  bool needs_restart = false;
   std::vector<core::LinkSample> samples;
   std::vector<core::FaultEvent> faults;
 
@@ -144,22 +113,10 @@ Network::Network(const NetworkSpec& spec, std::uint64_t stream_seed,
   spec_.validate();
   if (!populate_sessions) return;
   sessions_.reserve(spec_.num_links());
-  for (std::size_t link = 0; link < spec_.num_links(); ++link) {
-    sessions_.push_back(std::make_unique<Session>(spec_.link_state));
-    build_session(*sessions_.back(), link);
-    ++live_count_;
-  }
-  tick_samples_.resize(sessions_.size());
+  for (std::size_t link = 0; link < spec_.num_links(); ++link) join(link, 0.0);
 }
 
-Network::~Network() {
-  // The fault listeners capture raw Session pointers; detach before the
-  // controllers (which may outlive this frame inside sessions_) could
-  // fire them during teardown.
-  for (auto& s : sessions_) {
-    if (s->controller != nullptr) s->controller->set_fault_listener(nullptr);
-  }
-}
+Network::~Network() = default;
 
 bool Network::slot_live(std::size_t slot) const {
   return slot < sessions_.size() && sessions_[slot]->live;
@@ -174,14 +131,7 @@ std::size_t Network::join(std::uint64_t session_id, double birth_s) {
   } else {
     slot = sessions_.size();
     sessions_.push_back(std::make_unique<Session>(spec_.link_state));
-    tick_samples_.resize(sessions_.size());
-    inr_accum_.resize(sessions_.size());
-    pos_x_.resize(sessions_.size());
-    pos_y_.resize(sessions_.size());
-    batch_angles_.resize(sessions_.size());
-    batch_dist_.resize(sessions_.size());
-    batch_gain_.resize(sessions_.size());
-    batch_victim_.resize(sessions_.size());
+    size_slot_scratch();
   }
   Session& s = *sessions_[slot];
   // Reset the recycled slot to a fresh Session, then seed it from the
@@ -189,8 +139,6 @@ std::size_t Network::join(std::uint64_t session_id, double birth_s) {
   s = Session(spec_.link_state);
   build_session(s, session_id);
   s.birth_s = birth_s;
-  s.live = true;
-  s.started = false;
   ++live_count_;
   return slot;
 }
@@ -198,10 +146,7 @@ std::size_t Network::join(std::uint64_t session_id, double birth_s) {
 void Network::leave(std::size_t slot) {
   MMR_EXPECTS(slot_live(slot));
   Session& s = *sessions_[slot];
-  if (s.controller != nullptr) s.controller->set_fault_listener(nullptr);
-  s.controller.reset();
-  s.injector.reset();
-  s.world.reset();
+  s.radio.reset();
   s.samples.clear();
   s.samples.shrink_to_fit();
   s.faults.clear();
@@ -228,7 +173,7 @@ void Network::build_session(Session& s, std::uint64_t session_id) {
   if (link > 0 && spec_.ue_placement_jitter_m > 0.0) {
     Rng place(Rng::derive_stream_seed(s.link_seed, kPlacementSeedStream));
     const double j = spec_.ue_placement_jitter_m;
-    if (is_outdoor(s.scenario)) {
+    if (sim::is_outdoor_scenario(s.scenario)) {
       s.scenario.link_distance_m = std::max(
           1.0, s.scenario.link_distance_m + place.uniform(-j, j));
     } else {
@@ -245,34 +190,22 @@ void Network::build_session(Session& s, std::uint64_t session_id) {
   const channel::Vec2 origin{static_cast<double>(s.home_cell) *
                                  spec_.cell_spacing_m,
                              0.0};
-  s.global_start = origin + scenario_ue_local(s.scenario);
+  s.global_start = origin + sim::link_endpoints(s.scenario).ue;
 
-  s.world = std::make_unique<sim::LinkWorld>(
-      sim::ScenarioRegistry::instance().make(s.scenario));
-  if (workspace_ != nullptr) s.world->bind_workspace(workspace_);
-  s.controller = sim::ControllerRegistry::instance().make(
-      *s.world, s.scenario.config, spec_.controller);
-  s.iface = s.world->probe_interface();
+  connect(s);
+}
 
+void Network::connect(Session& s) {
+  s.radio = std::make_unique<sim::LinkSession>(s.scenario, spec_.controller,
+                                               workspace_);
   if (spec_.run.faults.enabled()) {
     sim::FaultPlan plan = spec_.run.faults;
-    // Mirror the engine's fault seeding bit-exactly on link 0: a live
-    // plan with seed 0 gets derive(stream_seed, kFaultSeedStream). Other
-    // links decorrelate through their own link seed.
-    if (plan.seed == 0) {
-      plan.seed = Rng::derive_stream_seed(s.link_seed, sim::kFaultSeedStream);
-    } else if (link > 0) {
-      plan.seed = Rng::derive_stream_seed(plan.seed, link);
-    }
-    s.fault_seed = plan.seed;
-    s.injector = std::make_unique<sim::FaultInjector>(plan, s.iface);
-    s.iface = s.injector->interface();
+    plan.seed =
+        sim::link_fault_seed(plan.seed, s.link_seed, s.link, s.handovers);
     Session* sp = &s;
-    auto record = [sp](const core::FaultEvent& ev) {
+    s.radio->arm_faults(plan, [sp](const core::FaultEvent& ev) {
       sp->faults.push_back(ev);
-    };
-    s.injector->set_listener(record);
-    s.controller->set_fault_listener(record);
+    });
   }
 }
 
@@ -280,13 +213,13 @@ double Network::cell_rsrp_db(const Session& s, std::size_t cell,
                              double t_s) const {
   const channel::Vec2 gnb =
       channel::Vec2{static_cast<double>(cell) * spec_.cell_spacing_m, 0.0} +
-      scenario_tx_local(spec_.link_scenario);
+      sim::link_endpoints(spec_.link_scenario).tx;
+  const sim::WorldConfig& world = s.radio->world().config();
   const double d = std::max(1.0, norm(s.global_pos(t_s) - gnb));
-  const double carrier = s.world->config().spec.carrier_hz;
   // Boresight sync beam: matched beamforming over N elements yields
   // |a^H w|^2 = N for unit-norm weights.
-  const double n = static_cast<double>(s.world->config().tx_ula.num_elements);
-  return to_db(n) - channel::propagation_loss_db(d, carrier);
+  const double n = static_cast<double>(world.tx_ula.num_elements);
+  return to_db(n) - channel::propagation_loss_db(d, world.spec.carrier_hz);
 }
 
 void Network::accumulate_interference(double t_s) {
@@ -298,7 +231,7 @@ void Network::accumulate_interference(double t_s) {
   // their bits. Allocation-free: all scratch is slot-sized and resized
   // only on join().
   const std::size_t n = sessions_.size();
-  const channel::Vec2 tx_local = scenario_tx_local(spec_.link_scenario);
+  const channel::Vec2 tx_local = sim::link_endpoints(spec_.link_scenario).tx;
   for (std::size_t v = 0; v < n; ++v) {
     inr_accum_[v] = 0.0;
     if (!sessions_[v]->live) continue;
@@ -310,9 +243,10 @@ void Network::accumulate_interference(double t_s) {
   for (std::size_t i = 0; i < n; ++i) {
     const Session& o = *sessions_[i];
     if (!o.live) continue;
+    const core::BeamController& ctrl = o.radio->controller();
     // Only links currently serving data transmit; a training sweep's
     // SSBs are discounted as protocol overhead, not interference.
-    if (!o.controller->link_available(o.local_time(t_s))) continue;
+    if (!ctrl.link_available(o.local_time(t_s))) continue;
     const channel::Vec2 gnb =
         channel::Vec2{static_cast<double>(o.serving_cell) *
                           spec_.cell_spacing_m,
@@ -332,11 +266,12 @@ void Network::accumulate_interference(double t_s) {
       ++count;
     }
     if (count == 0) continue;
+    const sim::WorldConfig& world = o.radio->world().config();
     interferer_gain_batch_into(
-        o.world->config().tx_ula, o.controller->tx_weights(),
+        world.tx_ula, ctrl.tx_weights(),
         std::span<const double>(batch_angles_.data(), count),
         std::span<const double>(batch_dist_.data(), count),
-        o.world->config().spec.carrier_hz,
+        world.spec.carrier_hz,
         spec_.interference.coupling_loss_db,
         std::span<double>(batch_gain_.data(), count));
     for (std::size_t k = 0; k < count; ++k) {
@@ -347,7 +282,7 @@ void Network::accumulate_interference(double t_s) {
 
 void Network::drive_state(Session& s, double t_s, double sinr_db_value) {
   s.sm.poll(t_s);
-  core::LinkState desired = s.controller->link_state(t_s);
+  core::LinkState desired = s.radio->controller().link_state(t_s);
   if (desired == core::LinkState::kUp &&
       sinr_db_value < spec_.run.outage_snr_db) {
     desired = core::LinkState::kUnstable;
@@ -428,7 +363,7 @@ void Network::execute_handover(Session& s, double t_s, std::size_t to_cell,
                                  spec_.cell_spacing_m,
                              0.0};
   const channel::Vec2 local_now = s.global_pos(t_s) - origin;
-  if (is_outdoor(s.scenario)) {
+  if (sim::is_outdoor_scenario(s.scenario)) {
     // The outdoor factory only knows a boresight distance; project.
     s.scenario.link_distance_m =
         std::max(1.0, norm(local_now - s.velocity * t_s));
@@ -437,26 +372,7 @@ void Network::execute_handover(Session& s, double t_s, std::size_t to_cell,
   }
   s.scenario.config.seed = Rng::derive_stream_seed(
       Rng::derive_stream_seed(s.link_seed, kHandoverSeedStream), s.handovers);
-  if (s.controller != nullptr) s.controller->set_fault_listener(nullptr);
-  s.world = std::make_unique<sim::LinkWorld>(
-      sim::ScenarioRegistry::instance().make(s.scenario));
-  if (workspace_ != nullptr) s.world->bind_workspace(workspace_);
-  s.controller = sim::ControllerRegistry::instance().make(
-      *s.world, s.scenario.config, spec_.controller);
-  s.iface = s.world->probe_interface();
-  if (spec_.run.faults.enabled()) {
-    sim::FaultPlan plan = spec_.run.faults;
-    plan.seed = Rng::derive_stream_seed(s.fault_seed, s.handovers);
-    s.injector = std::make_unique<sim::FaultInjector>(plan, s.iface);
-    s.iface = s.injector->interface();
-    Session* sp = &s;
-    auto record = [sp](const core::FaultEvent& ev) {
-      sp->faults.push_back(ev);
-    };
-    s.injector->set_listener(record);
-    s.controller->set_fault_listener(record);
-  }
-  s.needs_restart = true;
+  connect(s);
 
   core::HandoverEvent ev;
   ev.t_s = t_s;
@@ -469,51 +385,36 @@ void Network::execute_handover(Session& s, double t_s, std::size_t to_cell,
 }
 
 void Network::begin() {
-  const sim::RunConfig& rc = spec_.run;
-  // Same up-front validation as sim::run_experiment.
-  MMR_EXPECTS(rc.duration_s > 0.0 && std::isfinite(rc.duration_s));
-  MMR_EXPECTS(rc.tick_s > 0.0 && std::isfinite(rc.tick_s));
-  MMR_EXPECTS(std::isfinite(rc.outage_snr_db));
-  MMR_EXPECTS(rc.protocol_overhead >= 0.0 && rc.protocol_overhead < 1.0);
+  spec_.run.validate();
   handover_events_.clear();
-  const auto num_ticks = static_cast<std::size_t>(rc.duration_s / rc.tick_s);
+  const std::size_t num_ticks = spec_.run.num_ticks();
   for (auto& s : sessions_) {
-    s->started = false;
+    if (s->radio != nullptr) s->radio->restart();
     s->samples.clear();
     if (record_samples_ && s->live) s->samples.reserve(num_ticks);
   }
-  tick_samples_.resize(sessions_.size());
-  inr_accum_.resize(sessions_.size());
-  pos_x_.resize(sessions_.size());
-  pos_y_.resize(sessions_.size());
-  batch_angles_.resize(sessions_.size());
-  batch_dist_.resize(sessions_.size());
-  batch_gain_.resize(sessions_.size());
-  batch_victim_.resize(sessions_.size());
+  size_slot_scratch();
+}
+
+void Network::size_slot_scratch() {
+  const std::size_t n = sessions_.size();
+  tick_samples_.resize(n);
+  inr_accum_.resize(n);
+  pos_x_.resize(n);
+  pos_y_.resize(n);
+  batch_angles_.resize(n);
+  batch_dist_.resize(n);
+  batch_gain_.resize(n);
+  batch_victim_.resize(n);
 }
 
 void Network::advance_pass(double t_s) {
-  // Worlds, injectors, controllers -- the exact per-link sequence
-  // sim/runner.cpp executes.
   for (auto& sp : sessions_) {
-    Session& s = *sp;
-    if (!s.live) continue;
-    const double t = s.local_time(t_s);
-    s.world->set_time(t);
-    if (s.injector != nullptr) s.injector->on_tick(t);
-    if (!s.started || s.needs_restart) {
-      s.controller->start(t, s.iface);
-      s.started = true;
-      s.needs_restart = false;
-    } else {
-      s.controller->step(t, s.iface);
-    }
+    if (sp->live) sp->radio->advance(sp->local_time(t_s));
   }
 }
 
 void Network::scoring_pass(double t_s) {
-  const sim::RunConfig& rc = spec_.run;
-  const phy::McsTable& mcs = phy::McsTable::nr();
   const bool interference_on = spec_.interference.enabled && live_count_ > 1;
   if (interference_on) accumulate_interference(t_s);
   // Every link scored against the TRUE channel with the other links'
@@ -522,24 +423,12 @@ void Network::scoring_pass(double t_s) {
     Session& s = *sessions_[slot];
     if (!s.live) continue;
     const double t = s.local_time(t_s);
-    const double bandwidth = s.world->config().spec.bandwidth_hz;
-    const double snr = s.world->true_snr_db(s.controller->tx_weights());
-    double inr = 0.0;
-    if (interference_on) {
-      inr = inr_accum_[slot] / s.world->power_for_snr(0.0);
-    }
-    const double sinr = sinr_db(snr, inr);
-    core::LinkSample sample;
-    sample.t_s = t;
-    sample.available = s.controller->link_available(t);
-    sample.snr_db = sinr;
-    sample.throughput_bps =
-        sample.available
-            ? mcs.throughput_bps(sinr, bandwidth, rc.protocol_overhead)
-            : 0.0;
+    const core::LinkSample sample = s.radio->score(
+        t, spec_.run.protocol_overhead,
+        interference_on ? inr_accum_[slot] : 0.0);
     tick_samples_[slot] = sample;
     if (record_samples_) s.samples.push_back(sample);
-    drive_state(s, t, sinr);
+    drive_state(s, t, sample.snr_db);
   }
 }
 
@@ -557,10 +446,8 @@ void Network::step_tick(double t_s) {
 
 NetworkResult Network::run(sim::TelemetrySink* sink) {
   begin();
-  const sim::RunConfig& rc = spec_.run;
-  const auto num_ticks = static_cast<std::size_t>(rc.duration_s / rc.tick_s);
-  for (std::size_t i = 0; i < num_ticks; ++i) {
-    step_tick(static_cast<double>(i) * rc.tick_s);
+  for (std::size_t i = 0; i < spec_.run.num_ticks(); ++i) {
+    step_tick(static_cast<double>(i) * spec_.run.tick_s);
   }
   return finish(sink);
 }
@@ -572,11 +459,10 @@ NetworkResult Network::finish(sim::TelemetrySink* sink) {
   for (auto& sp : sessions_) {
     Session& s = *sp;
     if (!s.live) continue;
-    if (s.controller != nullptr) s.controller->set_fault_listener(nullptr);
     // Close the availability ledger at the nominal end of the run (this
     // may legitimately fire a final deadline transition).
     s.sm.poll(rc.duration_s);
-    const double bandwidth = s.world->config().spec.bandwidth_hz;
+    const double bandwidth = s.radio->world().config().spec.bandwidth_hz;
     LinkReport report;
     report.link = s.link;
     report.serving_cell = s.serving_cell;
@@ -596,21 +482,17 @@ NetworkResult Network::finish(sim::TelemetrySink* sink) {
                    [](const core::HandoverEvent& a,
                       const core::HandoverEvent& b) { return a.t_s < b.t_s; });
 
-  if (result.links.size() == 1) {
-    // Single-link collapse: the network IS the link, bit for bit.
-    result.network = result.links.front().summary;
-  } else {
-    core::LinkSummary agg;
-    const double n = static_cast<double>(result.links.size());
-    for (const LinkReport& r : result.links) {
-      agg.reliability += r.summary.reliability / n;
-      agg.mean_throughput_bps += r.summary.mean_throughput_bps / n;
-      agg.mean_spectral_efficiency += r.summary.mean_spectral_efficiency / n;
-      agg.throughput_reliability_product +=
-          r.summary.throughput_reliability_product / n;
-      agg.num_samples += r.summary.num_samples;
-    }
-    result.network = agg;
+  // Per-field means over links. Every field is finite and non-negative,
+  // so for one link (0.0 + x / 1.0) is that link's summary bit for bit.
+  core::LinkSummary& agg = result.network;
+  const double n = static_cast<double>(result.links.size());
+  for (const LinkReport& r : result.links) {
+    agg.reliability += r.summary.reliability / n;
+    agg.mean_throughput_bps += r.summary.mean_throughput_bps / n;
+    agg.mean_spectral_efficiency += r.summary.mean_spectral_efficiency / n;
+    agg.throughput_reliability_product +=
+        r.summary.throughput_reliability_product / n;
+    agg.num_samples += r.summary.num_samples;
   }
 
   if (sink != nullptr) {

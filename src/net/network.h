@@ -17,10 +17,12 @@
 // session (HandoverEvent through TelemetrySink::on_handover), which
 // rebuilds the cell-local world and restarts the controller.
 //
-// Single-link collapse contract (pinned by tests/net): a 1-cell/1-UE
-// network with interference/handover degenerate runs BYTE-IDENTICAL to
-// the engine's run_experiment path -- same world seed, same tick
-// sequence, same fault stream, same summary bits.
+// Single-link collapse: every session builds, wires faults, ticks and
+// scores through sim::LinkSession, the code run_experiment runs, and
+// link 0 takes the trial's stream seed verbatim. A 1-cell/1-UE network
+// with interference/handover degenerate is therefore the engine trial by
+// construction -- same world seed, tick sequence, fault stream and
+// summary bits (tests/net checks the result).
 #pragma once
 
 #include <cstddef>
@@ -111,9 +113,8 @@ struct NetworkResult {
   std::vector<LinkReport> links;
   /// All handover events, in time order.
   std::vector<core::HandoverEvent> handovers;
-  /// Cross-link aggregate: for a single link this is links[0].summary
-  /// bit-exactly; otherwise per-field means over links (num_samples
-  /// summed).
+  /// Cross-link aggregate: per-field means over links (num_samples
+  /// summed); for a single link, links[0].summary bit for bit.
   core::LinkSummary network;
 };
 
@@ -122,14 +123,14 @@ struct NetworkResult {
 /// the tick loop and scores every link with interference folded into its
 /// SINR.
 ///
-/// Resumable-step contract (PR-8): run() is now a thin wrapper over
+/// Resumable-step contract: run() is a thin wrapper over
 ///   begin();  step_tick(t) for each tick;  finish(sink);
-/// and the step path is BYTE-IDENTICAL to the historical monolithic loop
-/// (pinned by tests/net). Callers that own the timeline -- the streaming
-/// service -- drive step_tick directly, join()/leave() sessions between
-/// ticks (churn), and read the per-slot tick_samples() instead of calling
-/// finish(). Slots are reused through a free list so a churning table
-/// keeps bounded memory.
+/// so a stepped run is the batch run (tests/net checks the result).
+/// Callers that own the timeline -- the streaming service -- drive
+/// step_tick directly, join()/leave() sessions between ticks (churn), and
+/// read the per-slot tick_samples() instead of calling finish(). Slots
+/// are reused through a free list so a churning table keeps bounded
+/// memory.
 class Network {
  public:
   /// `workspace` (optional) is bound to every session's world so the
@@ -155,9 +156,9 @@ class Network {
   /// step_tick sequence; run() calls it for you.
   void begin();
   /// Advance every live session to absolute time `t_s` (advance /
-  /// score+drive / handover passes -- the exact historical sequence) and
-  /// leave each slot's scored sample in tick_samples()[slot]. Sessions
-  /// joined mid-run are evaluated at their LOCAL time t_s - birth_s.
+  /// score+drive / handover passes) and leave each slot's scored sample
+  /// in tick_samples()[slot]. Sessions joined mid-run are evaluated at
+  /// their LOCAL time t_s - birth_s.
   void step_tick(double t_s);
   /// Close every live session's availability ledger at the configured
   /// duration and aggregate reports. run() == begin + ticks + finish.
@@ -165,7 +166,8 @@ class Network {
 
   // --- Streaming session table --------------------------------------
   /// Add a session between ticks. `session_id` seeds its world/placement
-  /// exactly like link `session_id` of the batch table (id 0 verbatim);
+  /// as link `session_id` of the batch table (id 0 verbatim; the batch
+  /// constructor joins links 0..n-1);
   /// `birth_s` offsets its local timeline. Reuses a free slot when one
   /// exists. Returns the slot index.
   std::size_t join(std::uint64_t session_id, double birth_s);
@@ -189,6 +191,10 @@ class Network {
   struct Session;
 
   void build_session(Session& s, std::uint64_t session_id);
+  /// Build the session's LinkSession for its current scenario and wire
+  /// the live fault plan (seeded per link and per handover rebuild).
+  void connect(Session& s);
+  void size_slot_scratch();
   void advance_pass(double t_s);
   void scoring_pass(double t_s);
   void handover_pass(double t_s);

@@ -31,4 +31,10 @@ LinkBudget LinkBudget::paper_outdoor() {
   return LinkBudget{24.0, 7.0, 100.0e6, 3.0};
 }
 
+double sinr_db(double snr_db, double inr_linear) {
+  MMR_EXPECTS(inr_linear >= 0.0);
+  // to_db(1.0) == 0.0 exactly, so a zero-INR victim keeps its SNR bits.
+  return snr_db - to_db(1.0 + inr_linear);
+}
+
 }  // namespace mmr::phy

@@ -34,4 +34,9 @@ struct LinkBudget {
   static LinkBudget paper_outdoor();
 };
 
+/// Fold an interference-to-noise ratio into a serving-link SNR:
+/// SINR_dB = SNR_dB - 10 log10(1 + INR). Bitwise identity with the input
+/// SNR when inr_linear == 0, and <= SNR for every INR >= 0.
+double sinr_db(double snr_db, double inr_linear);
+
 }  // namespace mmr::phy

@@ -17,6 +17,7 @@
 #include "common/error.h"
 #include "core/delay_multibeam.h"
 #include "sim/journal.h"
+#include "sim/runner.h"
 #include "sim/telemetry.h"
 #include "sim/workspace.h"
 
@@ -35,23 +36,12 @@ namespace {
   throw std::invalid_argument(msg.str());
 }
 
-void add_link_blockers(LinkWorld& world, channel::Vec2 link_tx,
-                       channel::Vec2 link_ue,
-                       const std::vector<BlockerSpec>& blockers) {
-  for (const BlockerSpec& b : blockers) {
-    world.add_blocker(crossing_blocker(link_tx, link_ue, b.crossing_time_s,
+void add_link_blockers(LinkWorld& world, const ScenarioSpec& spec) {
+  const LinkEndpoints link = link_endpoints(spec);
+  for (const BlockerSpec& b : spec.blockers) {
+    world.add_blocker(crossing_blocker(link.tx, link.ue, b.crossing_time_s,
                                        b.speed_mps, b.depth_db));
   }
-}
-
-LinkWorld make_indoor(const ScenarioSpec& spec, bool force_sparse) {
-  ScenarioConfig config = spec.config;
-  if (force_sparse) config.sparse_room = true;
-  LinkWorld world = make_indoor_world(config, spec.ue_velocity,
-                                      spec.ue_rotation_rate_rad_s,
-                                      spec.ue_start);
-  add_link_blockers(world, {0.5, 6.2}, spec.ue_start, spec.blockers);
-  return world;
 }
 
 // Reflection-poor space (Section 8 / IRS future work): the only surface is
@@ -60,7 +50,7 @@ LinkWorld make_indoor(const ScenarioSpec& spec, bool force_sparse) {
 LinkWorld make_indoor_poor(const ScenarioSpec& spec) {
   channel::Environment env(kCarrier28GHz);
   env.add_wall({{{0.0, 0.0}, {10.0, 0.0}}, channel::Material::wood()});
-  const channel::Pose tx{{0.5, 6.2}, 0.0};
+  const channel::Pose tx{kIndoorGnbPosition, 0.0};
   auto traj = std::make_shared<channel::StaticPose>(
       channel::Pose{spec.ue_start, kPi});
   WorldConfig wc;
@@ -76,15 +66,14 @@ LinkWorld make_indoor_poor(const ScenarioSpec& spec) {
     panel.gain_db = spec.irs_gain_db;
     world.add_irs(panel);
   }
-  add_link_blockers(world, {0.5, 6.2}, spec.ue_start, spec.blockers);
+  add_link_blockers(world, spec);
   return world;
 }
 
 LinkWorld make_outdoor(const ScenarioSpec& spec) {
   LinkWorld world =
       make_outdoor_world(spec.config, spec.link_distance_m, spec.ue_velocity);
-  add_link_blockers(world, {0.0, 0.0}, {spec.link_distance_m, 0.0},
-                    spec.blockers);
+  add_link_blockers(world, spec);
   return world;
 }
 
@@ -241,6 +230,27 @@ class TrialWatchdog {
 };
 
 }  // namespace
+
+bool is_outdoor_scenario(const ScenarioSpec& spec) {
+  return spec.name.rfind("outdoor", 0) == 0;
+}
+
+LinkEndpoints link_endpoints(const ScenarioSpec& spec) {
+  if (is_outdoor_scenario(spec)) {
+    return {kOutdoorGnbPosition, {spec.link_distance_m, 0.0}};
+  }
+  return {kIndoorGnbPosition, spec.ue_start};
+}
+
+LinkWorld make_indoor(const ScenarioSpec& spec, bool force_sparse) {
+  ScenarioConfig config = spec.config;
+  if (force_sparse) config.sparse_room = true;
+  LinkWorld world = make_indoor_world(config, spec.ue_velocity,
+                                      spec.ue_rotation_rate_rad_s,
+                                      spec.ue_start);
+  add_link_blockers(world, spec);
+  return world;
+}
 
 ScenarioRegistry& ScenarioRegistry::instance() {
   static ScenarioRegistry* reg = [] {
@@ -399,21 +409,15 @@ EngineResult Engine::run(const ExperimentSpec& spec, TelemetrySink* sink,
         }
         if (spec.customize) spec.customize(ctx, scenario, controller, rc);
         if (spec.label) result.labels[ctx.index] = spec.label(ctx);
-        // A live plan with seed 0 gets a per-trial stream decoupled from
-        // the world seed, so jobs=K stays bit-identical to jobs=1.
-        if (rc.faults.enabled() && rc.faults.seed == 0) {
-          rc.faults.seed =
-              Rng::derive_stream_seed(ctx.stream_seed, kFaultSeedStream);
+        if (rc.faults.enabled()) {
+          rc.faults.seed = link_fault_seed(rc.faults.seed, ctx.stream_seed);
         }
         run_configs[ctx.index] = rc;
 
         const auto start = std::chrono::steady_clock::now();
         const double cpu_start = thread_cpu_now_s();
-        LinkWorld world = scenarios.make(scenario);
-        world.bind_workspace(&workspace);
-        const std::unique_ptr<core::BeamController> ctrl =
-            controllers.make(world, scenario.config, controller);
-        RunResult rr = run_experiment(world, *ctrl, rc);
+        LinkSession link(scenario, controller, &workspace);
+        RunResult rr = run_experiment(link, rc);
         cpu_s = thread_cpu_now_s() - cpu_start;
         wall_s = std::chrono::duration<double>(
                      std::chrono::steady_clock::now() - start)
@@ -499,14 +503,7 @@ EngineResult Engine::run(const ExperimentSpec& spec, TelemetrySink* sink,
     if (slot != nullptr) result.failures.push_back(std::move(*slot));
   }
 
-  if (options.freeze_timing) {
-    result.timing.wall_s = 0.0;
-    result.timing.serial_equivalent_s = 0.0;
-    for (auto& trial : result.trials) {
-      trial.wall_s = 0.0;
-      trial.cpu_s = 0.0;
-    }
-  }
+  if (options.freeze_timing) freeze_sweep_timing(result.timing, result.trials);
 
   // Quarantined trials carry default summaries; keep them out of the
   // aggregate so one bad trial cannot poison the campaign statistics.

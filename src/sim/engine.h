@@ -69,6 +69,23 @@ struct ScenarioSpec {
   std::vector<BlockerSpec> blockers;
 };
 
+/// True for the street-link scenarios (names starting with "outdoor");
+/// every other scenario runs in an indoor room.
+bool is_outdoor_scenario(const ScenarioSpec& spec);
+
+/// A scenario's link in its cell-local frame: the gNB and the UE's start
+/// position, the line crossing blockers walk across.
+struct LinkEndpoints {
+  channel::Vec2 tx;
+  channel::Vec2 ue;
+};
+LinkEndpoints link_endpoints(const ScenarioSpec& spec);
+
+/// The "indoor" scenario: make_indoor_world from the spec's indoor knobs
+/// (the sparse room when `force_sparse` or spec.config.sparse_room), then
+/// spec.blockers across the link.
+LinkWorld make_indoor(const ScenarioSpec& spec, bool force_sparse);
+
 /// Declarative controller: a registered name plus the shared knobs the
 /// built-in factories consume.
 struct ControllerSpec {
@@ -230,11 +247,9 @@ class Engine {
   /// events, then on_trial_failure for a quarantined/flagged trial, then
   /// on_run_end) followed by one on_sweep record.
   ///
-  /// Fault seeding: when spec.run.faults is enabled and its seed is left
-  /// at 0 after `customize`, each trial derives an independent fault
-  /// stream via Rng::derive_stream_seed(ctx.stream_seed, kFaultSeedStream)
-  /// so fault draws are decoupled from the world's randomness and stable
-  /// across jobs counts.
+  /// Fault seeding: a live spec.run.faults (after `customize`) runs under
+  /// link_fault_seed(seed, ctx.stream_seed) -- seed 0 derives a per-trial
+  /// stream.
   EngineResult run(const ExperimentSpec& spec, TelemetrySink* sink = nullptr);
 
   /// Durable variant: checkpoint/resume via options.journal, per-trial

@@ -13,11 +13,11 @@
 //   * SNR-report bias (mis-calibrated receiver gain).
 //
 // Determinism: the injector draws from its own Rng seeded by
-// FaultPlan::seed. The engine derives that seed per trial from the trial's
-// stream seed (sub-stream kFaultSeedStream), so jobs=K stays bit-identical
-// to jobs=1 and faulted sweeps reproduce like clean ones. A default
-// (all-zero) plan is inert: run_experiment does not construct an injector
-// at all, keeping the no-fault path byte-identical to a plan-free run.
+// FaultPlan::seed, which sim::link_fault_seed (sim/runner.h) resolves per
+// link from the link's stream seed (sub-stream kFaultSeedStream), so jobs=K
+// stays bit-identical to jobs=1 and faulted sweeps reproduce like clean
+// ones. A default (all-zero) plan is inert: no injector is constructed at
+// all, keeping the no-fault path byte-identical to a plan-free run.
 #pragma once
 
 #include <cstddef>
@@ -52,8 +52,8 @@ struct FaultPlan {
   /// Constant power bias applied to every report [dB] (negative = the
   /// receiver under-reports its SNR).
   double snr_bias_db = 0.0;
-  /// Injector stream seed. 0 = derive from the trial's stream seed
-  /// (sub-stream kFaultSeedStream), which is what the engine does.
+  /// Injector stream seed. 0 = derive from the link's stream seed
+  /// (sub-stream kFaultSeedStream; see sim::link_fault_seed).
   std::uint64_t seed = 0;
 
   /// True when any perturbation is switched on.
@@ -72,7 +72,7 @@ FaultPlan fault_preset(const std::string& name);
 /// Preset names in escalation order.
 std::vector<std::string> fault_preset_names();
 
-/// Sub-stream id the engine forks each trial's fault seed from.
+/// Sub-stream id each link's fault seed is forked from (link_fault_seed).
 inline constexpr std::uint64_t kFaultSeedStream = 0xFA17;
 
 /// Wraps a LinkProbeInterface and perturbs every report per a FaultPlan.

@@ -22,7 +22,7 @@ LinkWorld make_indoor_world(const ScenarioConfig& config,
   // gNB near the x=0 wall, boresight down the room (+x), link line close
   // to the glass wall so reflections detour by <1 m (see
   // Environment::indoor_conference_room).
-  const channel::Pose tx{{0.5, 6.2}, 0.0};
+  const channel::Pose tx{kIndoorGnbPosition, 0.0};
   // UE faces back toward the gNB.
   const channel::Pose ue0{ue_start, kPi};
 
@@ -49,7 +49,7 @@ LinkWorld make_outdoor_world(const ScenarioConfig& config,
                              channel::Vec2 ue_velocity) {
   MMR_EXPECTS(link_distance_m > 1.0);
   channel::Environment env = channel::Environment::outdoor_street();
-  const channel::Pose tx{{0.0, 0.0}, 0.0};
+  const channel::Pose tx{kOutdoorGnbPosition, 0.0};
   const channel::Pose ue0{{link_distance_m, 0.0}, kPi};
 
   std::shared_ptr<const channel::Trajectory> traj;

@@ -31,6 +31,11 @@ struct ScenarioConfig {
   double tx_power_dbm = 20.0;
 };
 
+/// gNB positions: the indoor rooms' (near the x=0 wall) and the street
+/// link's (the origin).
+inline constexpr channel::Vec2 kIndoorGnbPosition{0.5, 6.2};
+inline constexpr channel::Vec2 kOutdoorGnbPosition{0.0, 0.0};
+
 /// Indoor conference room, gNB at one end, UE ~7 m away.
 /// `ue_velocity` / `ue_rotation_rate` build the trajectory; zeros = static.
 LinkWorld make_indoor_world(const ScenarioConfig& config,

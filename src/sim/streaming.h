@@ -22,9 +22,10 @@
 //     ORDER on the orchestrator thread at every snapshot boundary. With
 //     freeze_timing (zeroing the wall-clock-derived rate field), jobs=K
 //     snapshot output is BYTE-IDENTICAL to jobs=1.
-//   * A 1-session/1-shard service with churn off collapses to the
-//     engine-path trial: same seed, same tick sequence, same per-tick
-//     sample bits (pinned by tests/streaming).
+//   * A 1-session/1-shard service with churn off is the engine-path
+//     trial by construction: its one session ticks and scores through
+//     sim::LinkSession (sim/runner.h) from the same seed, so the per-tick
+//     sample bits are the engine's (tests/streaming checks the result).
 //
 // Sharding approximation: cross-link interference and handover are scoped
 // WITHIN a shard (each shard is its own interference domain). A 1-shard

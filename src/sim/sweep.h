@@ -75,6 +75,20 @@ struct SweepTiming {
 /// wall-clock where no thread CPU clock exists).
 double thread_cpu_now_s();
 
+/// --freeze-timing: zero the sweep's wall-clock and serial-equivalent
+/// time and every trial's wall/cpu time, so a record is a pure function
+/// of (spec, seed).
+template <typename T>
+void freeze_sweep_timing(SweepTiming& timing,
+                         std::vector<SweepTrial<T>>& trials) {
+  timing.wall_s = 0.0;
+  timing.serial_equivalent_s = 0.0;
+  for (SweepTrial<T>& trial : trials) {
+    trial.wall_s = 0.0;
+    trial.cpu_s = 0.0;
+  }
+}
+
 class SweepRunner {
  public:
   explicit SweepRunner(SweepConfig config);
