@@ -12,6 +12,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <iostream>
+#include <string>
+#include <vector>
 
 #include "array/codebook.h"
 #include "array/pattern.h"
@@ -353,13 +355,15 @@ void BM_KernelDelayPhasors(benchmark::State& state, dsp::Backend backend) {
   const channel::WidebandSpec spec{28e9, 400e6, n};
   RVec freqs(n);
   channel::fill_freq_grid(spec, freqs.data());
+  const dsp::FreqGrid grid = dsp::make_freq_grid(freqs.data(), n);
+  CVec ph(n);
   CVec dst(n, cplx{});
   const cplx alpha{3e-5, -1e-5};
   for (auto _ : state) {
     for (std::size_t r = 0; r < kKernelReps; ++r) {
-      dsp::accumulate_delay_phasors(alpha, freqs.data(),
-                                    1.5e-9 + 1e-13 * static_cast<double>(r),
-                                    dst.data(), n);
+      dsp::delay_phasors(grid, 1.5e-9 + 1e-13 * static_cast<double>(r),
+                         ph.data());
+      dsp::axpy_delay_phasors(grid, alpha, ph.data(), dst.data());
       benchmark::DoNotOptimize(dst.data());
     }
   }
@@ -416,6 +420,38 @@ void BM_CsiProbe(benchmark::State& state, dsp::Backend backend) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 
+// BM_CsiProbe never moves the world, so with the tick's delay phasors
+// cached it times the sum alone. One link tick as a controller sees it:
+// set_time (a new tick, so the phasor table is refilled), a 16-beam CSI
+// probe sweep, then the score's true SNR. Items are ticks.
+void BM_CsiTick(benchmark::State& state, dsp::Backend backend) {
+  dsp::ScopedBackend scoped(backend);
+  sim::ScenarioSpec spec;
+  spec.name = "indoor_sparse";
+  spec.config.seed = 13;
+  sim::LinkWorld world = sim::ScenarioRegistry::instance().make(spec);
+  sim::TrialWorkspace workspace;
+  world.bind_workspace(&workspace);
+  const core::LinkProbeInterface link = world.probe_interface();
+  std::vector<CVec> beams;
+  for (std::size_t b = 0; b < 16; ++b) {
+    beams.push_back(array::single_beam_weights(
+        world.config().tx_ula, -0.9 + 0.12 * static_cast<double>(b)));
+  }
+  std::size_t tick = 0;
+  for (auto _ : state) {
+    world.set_time(static_cast<double>(tick++ % 400) * 2.5e-3);
+    for (const CVec& w : beams) {
+      CVec csi = link.csi(w);
+      benchmark::DoNotOptimize(csi.data());
+    }
+    double snr = world.true_snr_db(beams[0]);
+    benchmark::DoNotOptimize(snr);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+
 /// Register BM_Kernel*/<backend> for every backend this machine can
 /// actually execute (registration-time check: ScopedBackend inside the
 /// benchmark cannot signal skip cleanly, so unsupported backends simply
@@ -439,6 +475,7 @@ void register_backend_benchmarks() {
       {"BM_BoxMuller64", &BM_BoxMuller64},
       {"BM_SincColumn24", &BM_SincColumn24},
       {"BM_CsiProbe", &BM_CsiProbe},
+      {"BM_CsiTick", &BM_CsiTick},
   };
   const auto name_for = [](const char* bench, dsp::Backend b) {
     return std::string(bench) + "/" + std::string(dsp::backend_name(b));

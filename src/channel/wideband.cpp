@@ -64,26 +64,34 @@ cplx path_amplitude(const Path& path, const array::Ula& tx_ula,
 CVec effective_csi(const std::vector<Path>& paths, const array::Ula& tx_ula,
                    const CVec& tx_weights, const WidebandSpec& spec,
                    const RxFrontend& rx) {
-  CVec csi(spec.num_subcarriers);
-  // Subcarrier grid computed once, shared across paths; the per-path delay
-  // rotation is the batched kernel (same op order as the scalar loop).
+  const std::size_t n = spec.num_subcarriers;
   const RVec freqs = freq_grid(spec);
-  effective_csi_into(paths, tx_ula, tx_weights, spec, rx, freqs.data(),
+  const dsp::FreqGrid grid = dsp::make_freq_grid(freqs.data(), n);
+  CVec phasors(paths.size() * n);
+  fill_delay_phasors(paths, grid, phasors.data());
+  CVec csi(n);
+  effective_csi_into(paths, tx_ula, tx_weights, rx, grid, phasors.data(),
                      csi.data());
   return csi;
 }
 
+void fill_delay_phasors(const std::vector<Path>& paths,
+                        const dsp::FreqGrid& grid, cplx* table) {
+  const double t0 = min_delay(paths);
+  for (std::size_t p = 0; p < paths.size(); ++p) {
+    dsp::delay_phasors(grid, paths[p].delay_s - t0, table + p * grid.n);
+  }
+}
+
 void effective_csi_into(const std::vector<Path>& paths,
                         const array::Ula& tx_ula, const CVec& tx_weights,
-                        const WidebandSpec& spec, const RxFrontend& rx,
-                        const double* freqs, cplx* csi) {
+                        const RxFrontend& rx, const dsp::FreqGrid& grid,
+                        const cplx* phasors, cplx* csi) {
   MMR_EXPECTS(!paths.empty());
-  const double t0 = min_delay(paths);
-  for (std::size_t k = 0; k < spec.num_subcarriers; ++k) csi[k] = cplx{};
-  for (const Path& p : paths) {
-    const cplx alpha = path_amplitude(p, tx_ula, tx_weights, rx);
-    dsp::accumulate_delay_phasors(alpha, freqs, p.delay_s - t0, csi,
-                                  spec.num_subcarriers);
+  for (std::size_t k = 0; k < grid.n; ++k) csi[k] = cplx{};
+  for (std::size_t p = 0; p < paths.size(); ++p) {
+    const cplx alpha = path_amplitude(paths[p], tx_ula, tx_weights, rx);
+    dsp::axpy_delay_phasors(grid, alpha, phasors + p * grid.n, csi);
   }
 }
 
@@ -141,15 +149,13 @@ double received_power(const std::vector<Path>& paths,
 
 double received_power_prepared(const std::vector<Path>& paths,
                                const array::Ula& tx_ula,
-                               const CVec& tx_weights,
-                               const WidebandSpec& spec, const RxFrontend& rx,
-                               const double* freqs, cplx* csi) {
-  effective_csi_into(paths, tx_ula, tx_weights, spec, rx, freqs, csi);
+                               const CVec& tx_weights, const RxFrontend& rx,
+                               const dsp::FreqGrid& grid,
+                               const cplx* phasors, cplx* csi) {
+  effective_csi_into(paths, tx_ula, tx_weights, rx, grid, phasors, csi);
   double acc = 0.0;
-  for (std::size_t k = 0; k < spec.num_subcarriers; ++k) {
-    acc += std::norm(csi[k]);
-  }
-  return acc / static_cast<double>(spec.num_subcarriers);
+  for (std::size_t k = 0; k < grid.n; ++k) acc += std::norm(csi[k]);
+  return acc / static_cast<double>(grid.n);
 }
 
 CVec per_antenna_channel(const std::vector<Path>& paths,

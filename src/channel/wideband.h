@@ -9,6 +9,7 @@
 #include "array/geometry.h"
 #include "channel/path.h"
 #include "common/types.h"
+#include "dsp/kernels.h"
 
 namespace mmr::channel {
 
@@ -74,33 +75,42 @@ CVec effective_cir(const std::vector<Path>& paths, const array::Ula& tx_ula,
                    std::size_t num_taps, const RxFrontend& rx,
                    double timing_offset_s = 0.0);
 
-/// Allocation-free form of effective_csi: writes H(k) into
-/// `csi[0..spec.num_subcarriers)`. `freqs` must hold spec.freq_offset(k)
-/// for each k (see fill_freq_grid) -- callers cache the grid because it
-/// depends only on the spec. Identical floating-point operations in
-/// identical order to effective_csi; effective_csi delegates here.
-void effective_csi_into(const std::vector<Path>& paths,
-                        const array::Ula& tx_ula, const CVec& tx_weights,
-                        const WidebandSpec& spec, const RxFrontend& rx,
-                        const double* freqs, cplx* csi);
-
 /// Write spec.freq_offset(k) for k in [0, num_subcarriers) into `freqs`.
 void fill_freq_grid(const WidebandSpec& spec, double* freqs);
+
+/// The delay phasors of `paths` on `grid`: row p (grid.n entries at
+/// table + p * grid.n) is dsp::delay_phasors of path p's delay past the
+/// earliest path. The rows depend only on the delays, not on any beam,
+/// so one table serves every CSI synthesis until the paths move.
+void fill_delay_phasors(const std::vector<Path>& paths,
+                        const dsp::FreqGrid& grid, cplx* table);
+
+/// Allocation-free form of effective_csi: writes H(k) = sum_p alpha_p *
+/// phasors_p[k] into `csi[0..grid.n)`, where `grid` holds
+/// spec.freq_offset(k) (fill_freq_grid) and `phasors` is the
+/// fill_delay_phasors table of the same paths on it -- callers cache both
+/// (the grid depends only on the spec, the table only on the paths).
+/// effective_csi delegates here, so cached and uncached CSI are the same
+/// bits.
+void effective_csi_into(const std::vector<Path>& paths,
+                        const array::Ula& tx_ula, const CVec& tx_weights,
+                        const RxFrontend& rx, const dsp::FreqGrid& grid,
+                        const cplx* phasors, cplx* csi);
 
 /// Mean received power across subcarriers (linear) for given weights.
 double received_power(const std::vector<Path>& paths,
                       const array::Ula& tx_ula, const CVec& tx_weights,
                       const WidebandSpec& spec, const RxFrontend& rx);
 
-/// Allocation-free form of received_power using a caller-provided cached
-/// frequency grid and CSI scratch buffer (both of length
-/// spec.num_subcarriers; `csi` is overwritten). Bit-identical result to
+/// Allocation-free form of received_power over a cached grid and
+/// delay-phasor table (see effective_csi_into) and a CSI scratch buffer
+/// of grid.n entries (overwritten). Bit-identical result to
 /// received_power.
 double received_power_prepared(const std::vector<Path>& paths,
                                const array::Ula& tx_ula,
-                               const CVec& tx_weights,
-                               const WidebandSpec& spec, const RxFrontend& rx,
-                               const double* freqs, cplx* csi);
+                               const CVec& tx_weights, const RxFrontend& rx,
+                               const dsp::FreqGrid& grid,
+                               const cplx* phasors, cplx* csi);
 
 /// Narrowband per-antenna channel vector h[n] at the carrier (paper
 /// Eq. 7 / Eq. 25): what the oracle beamformer conjugates.

@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "dsp/kernels.h"
 
 namespace mmr::dsp {
 
@@ -66,9 +67,10 @@ struct KernelTable {
   void (*axpy)(cplx alpha, const cplx* x, cplx* y, std::size_t n) = nullptr;
   void (*axpy_phasor_ramp)(cplx alpha, double step, cplx* y,
                            std::size_t n) = nullptr;
-  void (*accumulate_delay_phasors)(cplx alpha, const double* freqs,
-                                   double delay_s, cplx* dst,
-                                   std::size_t n) = nullptr;
+  void (*delay_phasors)(const FreqGrid& grid, double delay_s,
+                        cplx* ph) = nullptr;
+  void (*axpy_delay_phasors)(const FreqGrid& grid, cplx alpha,
+                             const cplx* ph, cplx* dst) = nullptr;
   void (*box_muller)(const double* uniforms, std::size_t pairs,
                      double* normals) = nullptr;
   void (*impair_csi)(const cplx* truth, const cplx* noise, double phase0,
@@ -94,7 +96,7 @@ struct KernelTolerances {
   Tolerance phasor_ramp;
   Tolerance dot;              ///< cdot and dot_phasor_ramp
   Tolerance axpy;             ///< axpy and axpy_phasor_ramp
-  Tolerance delay_phasors;
+  Tolerance delay_phasors;   ///< delay_phasors + axpy_delay_phasors
   Tolerance box_muller;       ///< per normal, scale r = sqrt(-2 ln u1)
   Tolerance impair_csi;       ///< per component, scale |truth + noise|
   Tolerance sinc_column;      ///< per tap, scale 1

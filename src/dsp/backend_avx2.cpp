@@ -377,39 +377,35 @@ MMR_AVX2 void avx2_axpy_phasor_ramp(cplx alpha, double step, cplx* y,
   }
 }
 
-MMR_AVX2 void avx2_accumulate_delay_phasors(cplx alpha, const double* freqs,
-                                            double delay_s, cplx* dst,
-                                            std::size_t n) {
-  double f0 = 0.0;
-  double df = 0.0;
-  if (n < 2 * kB || !affine_freqs(freqs, n, &f0, &df)) {
-    scalar_accumulate_delay_phasors(alpha, freqs, delay_s, dst, n);
+MMR_AVX2 void avx2_delay_phasors(const FreqGrid& grid, double delay_s,
+                                 cplx* ph) {
+  if (!delay_ramp_applies(grid)) {
+    scalar_delay_phasors(grid, delay_s, ph);
     return;
   }
+  const double* freqs = grid.freqs;
+  const std::size_t n = grid.n;
   RampDeltas d;
   for (std::size_t k = 0; k < kB; ++k) {
-    const double ang = -2.0 * kPi * (df * static_cast<double>(k)) * delay_s;
+    const double ang =
+        -2.0 * kPi * (grid.df * static_cast<double>(k)) * delay_s;
     d.re[k] = std::cos(ang);
     d.im[k] = std::sin(ang);
   }
   const InterleavedDeltas dv = interleave_deltas(d);
   // Block-to-block rotation for the affine grid (kB*df per block); one
   // complex multiply derives every second anchor (see rotate_anchor).
-  const double rot_ang = -2.0 * kPi * (df * static_cast<double>(kB)) * delay_s;
+  const double rot_ang =
+      -2.0 * kPi * (grid.df * static_cast<double>(kB)) * delay_s;
   const double rot_re = std::cos(rot_ang);
   const double rot_im = std::sin(rot_ang);
-  const __m256d alr = _mm256_set1_pd(alpha.real());
-  const __m256d ali = _mm256_set1_pd(alpha.imag());
-  double* dp = reinterpret_cast<double*>(dst);
-  const auto add_block = [&](std::size_t base, double a_re, double a_im)
-                             MMR_AVX2 {
+  double* pp = reinterpret_cast<double*>(ph);
+  const auto ramp_block = [&](std::size_t base, double a_re, double a_im)
+                              MMR_AVX2 {
     const __m256d are = _mm256_set1_pd(a_re);
     const __m256d aim = _mm256_set1_pd(a_im);
     for (std::size_t k = 0; k < kB / 2; ++k) {
-      const __m256d ph = cmul_const(dv.v[k], are, aim);
-      const __m256d yv = _mm256_loadu_pd(dp + 2 * base + 4 * k);
-      _mm256_storeu_pd(dp + 2 * base + 4 * k,
-                       _mm256_add_pd(yv, cmul_const(ph, alr, ali)));
+      _mm256_storeu_pd(pp + 2 * base + 4 * k, cmul_const(dv.v[k], are, aim));
     }
   };
   std::size_t i = 0;
@@ -417,20 +413,49 @@ MMR_AVX2 void avx2_accumulate_delay_phasors(cplx alpha, const double* freqs,
     const double ang = -2.0 * kPi * freqs[i] * delay_s;
     double a_re = std::cos(ang);
     double a_im = std::sin(ang);
-    add_block(i, a_re, a_im);
+    ramp_block(i, a_re, a_im);
     rotate_anchor(rot_re, rot_im, &a_re, &a_im);
-    add_block(i + kB, a_re, a_im);
+    ramp_block(i + kB, a_re, a_im);
   }
   for (; i + kB <= n; i += kB) {
     const double ang = -2.0 * kPi * freqs[i] * delay_s;
-    add_block(i, std::cos(ang), std::sin(ang));
+    ramp_block(i, std::cos(ang), std::sin(ang));
+  }
+  for (; i < n; ++i) {
+    const double ang = -2.0 * kPi * freqs[i] * delay_s;
+    pp[2 * i] = std::cos(ang);
+    pp[2 * i + 1] = std::sin(ang);
+  }
+}
+
+// dst += alpha * ph with the operations of a fused ramp-and-accumulate on
+// this backend: the vector complex multiply-add over the whole kB blocks
+// avx2_delay_phasors ramped, the scalar formula on the tail past them.
+MMR_AVX2 void avx2_axpy_delay_phasors(const FreqGrid& grid, cplx alpha,
+                                      const cplx* ph, cplx* dst) {
+  if (!delay_ramp_applies(grid)) {
+    scalar_axpy(alpha, ph, dst, grid.n);
+    return;
+  }
+  const std::size_t n = grid.n;
+  const __m256d alr = _mm256_set1_pd(alpha.real());
+  const __m256d ali = _mm256_set1_pd(alpha.imag());
+  const double* pp = reinterpret_cast<const double*>(ph);
+  double* dp = reinterpret_cast<double*>(dst);
+  std::size_t i = 0;
+  for (; i + kB <= n; i += kB) {
+    for (std::size_t k = 0; k < kB / 2; ++k) {
+      const __m256d pv = _mm256_loadu_pd(pp + 2 * i + 4 * k);
+      const __m256d yv = _mm256_loadu_pd(dp + 2 * i + 4 * k);
+      _mm256_storeu_pd(dp + 2 * i + 4 * k,
+                       _mm256_add_pd(yv, cmul_const(pv, alr, ali)));
+    }
   }
   const double sar = alpha.real();
   const double sai = alpha.imag();
   for (; i < n; ++i) {
-    const double ang = -2.0 * kPi * freqs[i] * delay_s;
-    const double pre = std::cos(ang);
-    const double pim = std::sin(ang);
+    const double pre = pp[2 * i];
+    const double pim = pp[2 * i + 1];
     dp[2 * i] += sar * pre - sai * pim;
     dp[2 * i + 1] += sar * pim + sai * pre;
   }
@@ -445,7 +470,8 @@ const KernelTable* avx2_table() {
     t.dot_phasor_ramp = &avx2_dot_phasor_ramp;
     t.axpy = &avx2_axpy;
     t.axpy_phasor_ramp = &avx2_axpy_phasor_ramp;
-    t.accumulate_delay_phasors = &avx2_accumulate_delay_phasors;
+    t.delay_phasors = &avx2_delay_phasors;
+    t.axpy_delay_phasors = &avx2_axpy_delay_phasors;
     t.box_muller = &avx2_box_muller;
     t.impair_csi = &avx2_impair_csi;
     t.sinc_column = &avx2_sinc_column;

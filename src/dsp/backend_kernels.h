@@ -11,6 +11,7 @@
 #include <cstddef>
 
 #include "common/types.h"
+#include "dsp/kernels.h"
 
 namespace mmr::dsp::detail {
 
@@ -24,8 +25,10 @@ cplx scalar_cdot(const cplx* a, const cplx* b, std::size_t n);
 cplx scalar_dot_phasor_ramp(double step, const cplx* w, std::size_t n);
 void scalar_axpy(cplx alpha, const cplx* x, cplx* y, std::size_t n);
 void scalar_axpy_phasor_ramp(cplx alpha, double step, cplx* y, std::size_t n);
-void scalar_accumulate_delay_phasors(cplx alpha, const double* freqs,
-                                     double delay_s, cplx* dst, std::size_t n);
+void scalar_delay_phasors(const FreqGrid& grid, double delay_s, cplx* ph);
+/// The scalar sum step: scalar_axpy, i.e. dst[k] += alpha * ph[k].
+void scalar_axpy_delay_phasors(const FreqGrid& grid, cplx alpha,
+                               const cplx* ph, cplx* dst);
 void scalar_box_muller(const double* uniforms, std::size_t pairs,
                        double* normals);
 void scalar_impair_csi(const cplx* truth, const cplx* noise, double phase0,
@@ -50,9 +53,9 @@ cplx portable_dot_phasor_ramp(double step, const cplx* w, std::size_t n);
 void portable_axpy(cplx alpha, const cplx* x, cplx* y, std::size_t n);
 void portable_axpy_phasor_ramp(cplx alpha, double step, cplx* y,
                                std::size_t n);
-void portable_accumulate_delay_phasors(cplx alpha, const double* freqs,
-                                       double delay_s, cplx* dst,
-                                       std::size_t n);
+void portable_delay_phasors(const FreqGrid& grid, double delay_s, cplx* ph);
+void portable_axpy_delay_phasors(const FreqGrid& grid, cplx alpha,
+                                 const cplx* ph, cplx* dst);
 
 // ---------------------------------------------------------------------------
 // AVX2 transcendental kernels (backend_avx2_math.cpp, x86-64 only): 4-wide
@@ -83,9 +86,18 @@ struct RampDeltas {
 };
 RampDeltas compute_ramp_deltas(double step);
 
-/// True when freqs[] is an affine grid freqs[k] ~= f0 + k*df (relative
-/// deviation <= 1e-9 of the grid span). Production subcarrier grids are;
-/// arbitrary inputs fall back to the scalar delay-phasor loop.
-bool affine_freqs(const double* freqs, std::size_t n, double* f0, double* df);
+/// True when freqs[] is an affine grid freqs[k] ~= freqs[0] + k*df
+/// (relative deviation <= 1e-9 of the grid span), with the step in *df.
+/// Production subcarrier grids are; arbitrary inputs fall back to the
+/// scalar delay-phasor loop. Run once per grid by make_freq_grid.
+bool affine_freqs(const double* freqs, std::size_t n, double* df);
+
+/// True when the fast backends' delay-phasor pair takes its anchor+delta
+/// path on `grid`; otherwise both halves of the pair run the scalar
+/// reference (the ramp's rounding decides which sum reproduces the fused
+/// loop, so the two halves must always agree on this).
+inline bool delay_ramp_applies(const FreqGrid& grid) {
+  return grid.affine && grid.n >= 2 * kRampBlock;
+}
 
 }  // namespace mmr::dsp::detail

@@ -89,7 +89,8 @@ const KernelTable* neon_table() {
     t.dot_phasor_ramp = &portable_dot_phasor_ramp;
     t.axpy = &neon_axpy;
     t.axpy_phasor_ramp = &portable_axpy_phasor_ramp;
-    t.accumulate_delay_phasors = &portable_accumulate_delay_phasors;
+    t.delay_phasors = &portable_delay_phasors;
+    t.axpy_delay_phasors = &portable_axpy_delay_phasors;
     t.box_muller = &scalar_box_muller;
     t.impair_csi = &scalar_impair_csi;
     t.sinc_column = &scalar_sinc_column;

@@ -193,48 +193,52 @@ void portable_axpy_phasor_ramp(cplx alpha, double step, cplx* y,
   }
 }
 
-void portable_accumulate_delay_phasors(cplx alpha, const double* freqs,
-                                       double delay_s, cplx* dst,
-                                       std::size_t n) {
-  double f0 = 0.0;
-  double df = 0.0;
-  if (n < 2 * kB || !affine_freqs(freqs, n, &f0, &df)) {
-    scalar_accumulate_delay_phasors(alpha, freqs, delay_s, dst, n);
+void portable_delay_phasors(const FreqGrid& grid, double delay_s, cplx* ph) {
+  if (!delay_ramp_applies(grid)) {
+    scalar_delay_phasors(grid, delay_s, ph);
     return;
   }
   // Anchors use the ACTUAL freqs[] value with the scalar association
   // order, so anchor elements match the reference to one complex
   // multiply; interior elements additionally absorb the (tiny, checked)
   // deviation of the grid from perfectly affine.
+  const double* freqs = grid.freqs;
+  const std::size_t n = grid.n;
   double dre[kB];
   double dim[kB];
   for (std::size_t k = 0; k < kB; ++k) {
-    const double ang = -2.0 * kPi * (df * static_cast<double>(k)) * delay_s;
+    const double ang =
+        -2.0 * kPi * (grid.df * static_cast<double>(k)) * delay_s;
     dre[k] = std::cos(ang);
     dim[k] = std::sin(ang);
   }
-  const double ar = alpha.real();
-  const double ai = alpha.imag();
-  double* dp = reinterpret_cast<double*>(dst);
+  double* pp = reinterpret_cast<double*>(ph);
   std::size_t i = 0;
   for (; i + kB <= n; i += kB) {
     const double ang = -2.0 * kPi * freqs[i] * delay_s;
     const double are = std::cos(ang);
     const double aim = std::sin(ang);
     for (std::size_t k = 0; k < kB; ++k) {
-      const double pre = are * dre[k] - aim * dim[k];
-      const double pim = aim * dre[k] + are * dim[k];
-      dp[2 * (i + k)] += ar * pre - ai * pim;
-      dp[2 * (i + k) + 1] += ar * pim + ai * pre;
+      pp[2 * (i + k)] = are * dre[k] - aim * dim[k];
+      pp[2 * (i + k) + 1] = aim * dre[k] + are * dim[k];
     }
   }
   for (; i < n; ++i) {
     const double ang = -2.0 * kPi * freqs[i] * delay_s;
-    const double pre = std::cos(ang);
-    const double pim = std::sin(ang);
-    dp[2 * i] += ar * pre - ai * pim;
-    dp[2 * i + 1] += ar * pim + ai * pre;
+    pp[2 * i] = std::cos(ang);
+    pp[2 * i + 1] = std::sin(ang);
   }
+}
+
+// The ramp path's sum is the raw-formula complex multiply-add of
+// portable_axpy for every element, anchors and tail alike.
+void portable_axpy_delay_phasors(const FreqGrid& grid, cplx alpha,
+                                 const cplx* ph, cplx* dst) {
+  if (!delay_ramp_applies(grid)) {
+    scalar_axpy(alpha, ph, dst, grid.n);
+    return;
+  }
+  portable_axpy(alpha, ph, dst, grid.n);
 }
 
 const KernelTable* portable_table() {
@@ -246,7 +250,8 @@ const KernelTable* portable_table() {
     t.dot_phasor_ramp = &portable_dot_phasor_ramp;
     t.axpy = &portable_axpy;
     t.axpy_phasor_ramp = &portable_axpy_phasor_ramp;
-    t.accumulate_delay_phasors = &portable_accumulate_delay_phasors;
+    t.delay_phasors = &portable_delay_phasors;
+    t.axpy_delay_phasors = &portable_axpy_delay_phasors;
     t.box_muller = &scalar_box_muller;
     t.impair_csi = &scalar_impair_csi;
     t.sinc_column = &scalar_sinc_column;

@@ -72,13 +72,18 @@ void scalar_axpy_phasor_ramp(cplx alpha, double step, cplx* y, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) y[i] += alpha * ref_unit_phasor(step, i);
 }
 
-void scalar_accumulate_delay_phasors(cplx alpha, const double* freqs,
-                                     double delay_s, cplx* dst,
-                                     std::size_t n) {
-  for (std::size_t k = 0; k < n; ++k) {
-    const double ang = -2.0 * kPi * freqs[k] * delay_s;
-    dst[k] += alpha * cplx(std::cos(ang), std::sin(ang));
+// The per-path loop dst[k] += alpha * cplx(cos(ang), sin(ang)), split at
+// the multiply: the ramp here, the sum in scalar_axpy.
+void scalar_delay_phasors(const FreqGrid& grid, double delay_s, cplx* ph) {
+  for (std::size_t k = 0; k < grid.n; ++k) {
+    const double ang = -2.0 * kPi * grid.freqs[k] * delay_s;
+    ph[k] = cplx(std::cos(ang), std::sin(ang));
   }
+}
+
+void scalar_axpy_delay_phasors(const FreqGrid& grid, cplx alpha,
+                               const cplx* ph, cplx* dst) {
+  scalar_axpy(alpha, ph, dst, grid.n);
 }
 
 // Rng::normal's Box-Muller step, one uniform pair at a time. u2 is read
@@ -127,9 +132,8 @@ RampDeltas compute_ramp_deltas(double step) {
   return d;
 }
 
-bool affine_freqs(const double* freqs, std::size_t n, double* f0, double* df) {
+bool affine_freqs(const double* freqs, std::size_t n, double* df) {
   if (n < 2) {
-    *f0 = (n == 1) ? freqs[0] : 0.0;
     *df = 0.0;
     return true;
   }
@@ -142,7 +146,6 @@ bool affine_freqs(const double* freqs, std::size_t n, double* f0, double* df) {
     const double predicted = first + static_cast<double>(k) * step;
     if (std::abs(freqs[k] - predicted) > tol) return false;
   }
-  *f0 = first;
   *df = step;
   return true;
 }
@@ -160,7 +163,8 @@ const KernelTable* scalar_table() {
     t.dot_phasor_ramp = &scalar_dot_phasor_ramp;
     t.axpy = &scalar_axpy;
     t.axpy_phasor_ramp = &scalar_axpy_phasor_ramp;
-    t.accumulate_delay_phasors = &scalar_accumulate_delay_phasors;
+    t.delay_phasors = &scalar_delay_phasors;
+    t.axpy_delay_phasors = &scalar_axpy_delay_phasors;
     t.box_muller = &scalar_box_muller;
     t.impair_csi = &scalar_impair_csi;
     t.sinc_column = &scalar_sinc_column;

@@ -4,6 +4,7 @@
 
 #include "common/error.h"
 #include "dsp/backend.h"
+#include "dsp/backend_kernels.h"
 
 namespace mmr::dsp {
 
@@ -50,9 +51,21 @@ void axpy_phasor_ramp(cplx alpha, double step, cplx* y, std::size_t n) {
   active_table().axpy_phasor_ramp(alpha, step, y, n);
 }
 
-void accumulate_delay_phasors(cplx alpha, const double* freqs, double delay_s,
-                              cplx* dst, std::size_t n) {
-  active_table().accumulate_delay_phasors(alpha, freqs, delay_s, dst, n);
+FreqGrid make_freq_grid(const double* freqs, std::size_t n) {
+  FreqGrid grid;
+  grid.freqs = freqs;
+  grid.n = n;
+  grid.affine = detail::affine_freqs(freqs, n, &grid.df);
+  return grid;
+}
+
+void delay_phasors(const FreqGrid& grid, double delay_s, cplx* ph) {
+  active_table().delay_phasors(grid, delay_s, ph);
+}
+
+void axpy_delay_phasors(const FreqGrid& grid, cplx alpha, const cplx* ph,
+                        cplx* dst) {
+  active_table().axpy_delay_phasors(grid, alpha, ph, dst);
 }
 
 void box_muller(const double* uniforms, std::size_t pairs, double* normals) {

@@ -24,8 +24,18 @@
 //  * n == 0 is a no-op (reductions return 0+0j); n == 1 is exact libm.
 //  * axpy allows x == y (full aliasing: y[i] += alpha*y[i] element-wise).
 //    PARTIALLY overlapping x/y ranges are undefined across all backends.
-//  * phasor_ramp/axpy_phasor_ramp/accumulate_delay_phasors destinations
-//    must not overlap their inputs (freqs vs dst).
+//  * phasor_ramp/axpy_phasor_ramp/delay_phasors/axpy_delay_phasors
+//    destinations must not overlap their inputs (freqs or ph vs dst).
+//
+// Delay phasors are split in two (paper Eq. 26): delay_phasors writes a
+// path's pre-amplitude ramp e^{-j2 pi f_k tau}, which depends only on the
+// path's delay and the subcarrier grid, and axpy_delay_phasors adds
+// alpha * ramp into a CSI row. A tick's path delays are fixed while its
+// beams change, so sim::LinkWorld fills one ramp per path per tick and
+// every CSI synthesis of the tick is only the sum. On every backend the
+// pair performs exactly the operations of the fused accumulate
+// dst[k] += alpha * e^{j ang_k} on that backend (whose ramp is formed
+// before the alpha multiply), so caching the ramp changes no bit.
 #pragma once
 
 #include <cstddef>
@@ -96,12 +106,33 @@ void axpy(cplx alpha, const cplx* x, cplx* y, std::size_t n);
 /// "build steering vector, then scale-add" without the temporary.
 void axpy_phasor_ramp(cplx alpha, double step, cplx* y, std::size_t n);
 
-/// Per-subcarrier delay rotation accumulate (paper Eq. 26 inner loop):
-/// dst[k] += alpha * exp(j * ((-2 pi) * freqs[k]) * delay_s). The phase is
-/// evaluated as ((-2 pi) * f) * delay — the exact association order of the
-/// scalar loop it replaces in channel/wideband.cpp.
-void accumulate_delay_phasors(cplx alpha, const double* freqs, double delay_s,
-                              cplx* dst, std::size_t n);
+/// A subcarrier grid with its affine fit, made once per grid by
+/// make_freq_grid: the delay-phasor fast paths need freqs[k] ~= freqs[0] +
+/// k df, and checking that costs a pass over the grid.
+struct FreqGrid {
+  const double* freqs = nullptr;  ///< n frequencies [Hz]; not owned
+  std::size_t n = 0;
+  double df = 0.0;
+  /// freqs[k] is within 1e-9 of the grid span of freqs[0] + k df. Grids
+  /// that are not take the scalar loop on every backend.
+  bool affine = false;
+};
+
+/// View `freqs[0..n)` as a FreqGrid (one pass to fit it). The grid must
+/// outlive the view.
+FreqGrid make_freq_grid(const double* freqs, std::size_t n);
+
+/// Per-subcarrier delay phasors (paper Eq. 26 inner loop, before the path
+/// amplitude): ph[k] = exp(j * ((-2 pi) * freqs[k]) * delay_s) for k in
+/// [0, grid.n). The phase is evaluated as ((-2 pi) * f) * delay -- the
+/// association order of the original scalar loop.
+void delay_phasors(const FreqGrid& grid, double delay_s, cplx* ph);
+
+/// dst[k] += alpha * ph[k] for k in [0, grid.n), where `ph` came from
+/// delay_phasors on the same grid and backend: the pair equals the fused
+/// per-path accumulate bit for bit.
+void axpy_delay_phasors(const FreqGrid& grid, cplx alpha, const cplx* ph,
+                        cplx* dst);
 
 /// Box-Muller step of Rng::normal over `pairs` uniform pairs:
 /// (u1, u2) = (uniforms[2i], uniforms[2i+1]) gives

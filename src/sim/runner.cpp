@@ -76,6 +76,7 @@ void LinkSession::advance(double t_s) {
   } else {
     controller_->step(t_s, iface_);
   }
+  snr_db_ = world_->true_snr_db(controller_->tx_weights());
 }
 
 core::LinkSample LinkSession::score(double t_s, double protocol_overhead,
@@ -83,7 +84,7 @@ core::LinkSample LinkSession::score(double t_s, double protocol_overhead,
   core::LinkSample sample;
   sample.t_s = t_s;
   sample.available = controller_->link_available(t_s);
-  sample.snr_db = world_->true_snr_db(controller_->tx_weights());
+  sample.snr_db = snr_db_;
   if (interference_power != 0.0) {
     sample.snr_db = phy::sinr_db(
         sample.snr_db, interference_power / world_->power_for_snr(0.0));

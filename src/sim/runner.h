@@ -87,14 +87,18 @@ class LinkSession {
 
   /// (c) Move the world to local time `t_s`, tick the injector, then
   /// start the controller on the first tick (or after restart()),
-  /// otherwise step it.
+  /// otherwise step it, and take the TRUE channel's SNR under its new
+  /// beam. The SNR is taken here, right after the controller's probes,
+  /// because it reuses the tick's delay phasors: a network advances every
+  /// session before it scores any, and sessions sharing one workspace
+  /// would otherwise evict each other's table in between.
   void advance(double t_s);
   void restart() { started_ = false; }
 
-  /// (d) The tick's sample: the controller's availability, the TRUE
-  /// channel's SNR under its beam -- an SINR when `interference_power`
-  /// (LinkWorld::power_for_snr units) is nonzero -- and the MCS
-  /// throughput after `protocol_overhead`.
+  /// (d) The sample of the tick advance() last took: the controller's
+  /// availability at `t_s`, that tick's true SNR -- an SINR when
+  /// `interference_power` (LinkWorld::power_for_snr units) is nonzero --
+  /// and the MCS throughput after `protocol_overhead`.
   core::LinkSample score(double t_s, double protocol_overhead,
                          double interference_power = 0.0) const;
 
@@ -110,6 +114,7 @@ class LinkSession {
   std::unique_ptr<FaultInjector> injector_;
   core::LinkProbeInterface iface_;
   bool started_ = false;
+  double snr_db_ = 0.0;  ///< true SNR of the last advance()d tick
 };
 
 /// Run `controller` over `world` for the configured duration through a

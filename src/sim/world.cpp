@@ -47,6 +47,16 @@ LinkWorld::LinkWorld(channel::Environment env, channel::Pose tx_pose,
   set_time(0.0);
 }
 
+void LinkWorld::bind_workspace(TrialWorkspace* ws) {
+  ws_ = ws;
+  if (ws_ == nullptr) return;
+  tick_id_ = ws_->next_tick_id();
+  // The most paths a trace of this scene returns: LOS, one bounce per
+  // wall, one path per IRS panel.
+  const std::size_t max_paths = 1 + env_.walls().size() + irs_panels_.size();
+  ws_->phasors().table.reserve(max_paths * config_.spec.num_subcarriers);
+}
+
 void LinkWorld::add_blocker(channel::GeometricBlocker blocker) {
   blockers_.push_back(std::move(blocker));
   set_time(t_s_);
@@ -105,6 +115,7 @@ void LinkWorld::set_time(double t_s) {
       }
     }
   }
+  if (ws_ != nullptr) tick_id_ = ws_->next_tick_id();
 }
 
 core::LinkProbeInterface LinkWorld::probe_interface() {
@@ -144,8 +155,9 @@ CVec LinkWorld::probe_csi(const CVec& tx_w, const channel::RxFrontend& rx) {
   } else {
     auto& truth = ws_->csi();
     truth.resize(n);
-    channel::effective_csi_into(paths_, config_.tx_ula, tx_w, config_.spec,
-                                rx, workspace_freqs(), truth.data());
+    channel::effective_csi_into(paths_, config_.tx_ula, tx_w, rx,
+                                workspace_grid(), tick_phasors(),
+                                truth.data());
     estimator_.estimate_into(truth.data(), n, est.data());
   }
   return est;
@@ -177,20 +189,45 @@ CVec LinkWorld::probe_cir(const CVec& tx_w, const channel::RxFrontend& rx,
   return cir;
 }
 
-const double* LinkWorld::workspace_freqs() const {
-  const std::size_t n = config_.spec.num_subcarriers;
-  auto& freqs = ws_->freqs();
-  if (freqs.size() != n) {
-    freqs.resize(n);
-    channel::fill_freq_grid(config_.spec, freqs.data());
+const dsp::FreqGrid& LinkWorld::workspace_grid() const {
+  const channel::WidebandSpec& spec = config_.spec;
+  TrialWorkspace::Grid& grid = ws_->grid();
+  if (grid.freqs.size() != spec.num_subcarriers ||
+      grid.bandwidth_hz != spec.bandwidth_hz) {
+    grid.freqs.resize(spec.num_subcarriers);
+    channel::fill_freq_grid(spec, grid.freqs.data());
+    grid.view = dsp::make_freq_grid(grid.freqs.data(), grid.freqs.size());
+    grid.bandwidth_hz = spec.bandwidth_hz;
   }
-  return freqs.data();
+  return grid.view;
+}
+
+const cplx* LinkWorld::tick_phasors() const {
+  const dsp::FreqGrid& grid = workspace_grid();
+  TrialWorkspace::PhasorSlot& slot = ws_->phasors();
+  if (slot.tick != tick_id_) {
+    slot.table.resize(paths_.size() * grid.n);
+    channel::fill_delay_phasors(paths_, grid, slot.table.data());
+    slot.tick = tick_id_;
+  }
+  return slot.table.data();
+}
+
+double LinkWorld::workspace_power(const CVec& tx_w,
+                                  const channel::RxFrontend& rx) const {
+  auto& csi = ws_->csi();
+  csi.resize(config_.spec.num_subcarriers);
+  return channel::received_power_prepared(paths_, config_.tx_ula, tx_w, rx,
+                                          workspace_grid(), tick_phasors(),
+                                          csi.data());
 }
 
 double LinkWorld::true_snr_db_joint(const CVec& tx_w, const CVec& rx_w) const {
   if (paths_.empty()) return -300.0;
   const auto rx = channel::RxFrontend::beam(config_.ue_ula, rx_w);
-  const double power = channel::received_power(paths_, config_.tx_ula, tx_w,
+  const double power =
+      ws_ != nullptr ? workspace_power(tx_w, rx)
+                     : channel::received_power(paths_, config_.tx_ula, tx_w,
                                                config_.spec, rx);
   if (power <= 0.0) return -300.0;
   return config_.budget.snr_db(power);
@@ -198,14 +235,7 @@ double LinkWorld::true_snr_db_joint(const CVec& tx_w, const CVec& rx_w) const {
 
 double LinkWorld::true_power(const CVec& tx_weights) const {
   if (paths_.empty()) return 0.0;
-  if (ws_ != nullptr) {
-    auto& csi = ws_->csi();
-    csi.resize(config_.spec.num_subcarriers);
-    return channel::received_power_prepared(paths_, config_.tx_ula,
-                                            tx_weights, config_.spec,
-                                            config_.rx, workspace_freqs(),
-                                            csi.data());
-  }
+  if (ws_ != nullptr) return workspace_power(tx_weights, config_.rx);
   return channel::received_power(paths_, config_.tx_ula, tx_weights,
                                  config_.spec, config_.rx);
 }

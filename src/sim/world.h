@@ -9,6 +9,7 @@
 //     for any weights, exact per-antenna channel for the oracle).
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -20,6 +21,7 @@
 #include "channel/wideband.h"
 #include "common/rng.h"
 #include "core/link_interface.h"
+#include "dsp/kernels.h"
 #include "phy/estimator.h"
 #include "phy/link_budget.h"
 
@@ -55,16 +57,19 @@ class LinkWorld {
   void add_irs(channel::IrsPanel panel);
 
   /// Bind per-trial scratch for the scoring hot path (set_time +
-  /// true_power/true_snr_db) and the CSI probes: the frequency grid is
-  /// cached and the CSI / path-order scratch live on the workspace arena,
-  /// so the steady-state scoring loop allocates nothing and a CSI probe
-  /// allocates only its result. Results are bit-identical with or
-  /// without a workspace. Pass nullptr to unbind. The workspace must
-  /// outlive this world (or the unbind).
-  void bind_workspace(TrialWorkspace* ws) { ws_ = ws; }
+  /// true_power/true_snr_db) and the CSI probes: the frequency grid and
+  /// its affine fit are cached, the tick's delay-phasor table is filled
+  /// once per tick into the workspace's phasor slot (reserved here for
+  /// the scene's largest path count), and the CSI / path-order scratch
+  /// live on the workspace arena, so the steady-state scoring loop
+  /// allocates nothing and a CSI probe allocates only its result. Results
+  /// are bit-identical with or without a workspace. Pass nullptr to
+  /// unbind. The workspace must outlive this world (or the unbind).
+  void bind_workspace(TrialWorkspace* ws);
 
   /// Advance the world: re-trace paths for the UE pose at t and apply all
-  /// blockage sources.
+  /// blockage sources. With a workspace bound, the tick takes a fresh
+  /// tick id, so the previous tick's phasor table is never reused.
   void set_time(double t_s);
 
   double time() const { return t_s_; }
@@ -108,7 +113,14 @@ class LinkWorld {
                  std::size_t num_taps);
 
   /// The bound workspace's subcarrier grid, filled on first use.
-  const double* workspace_freqs() const;
+  const dsp::FreqGrid& workspace_grid() const;
+  /// The bound workspace's delay-phasor table of this tick's paths,
+  /// filled on the tick's first CSI synthesis.
+  const cplx* tick_phasors() const;
+  /// Mean received power through `rx` from the workspace scratch and the
+  /// tick's phasor table (the bound-world face of channel::received_power).
+  double workspace_power(const CVec& tx_w,
+                         const channel::RxFrontend& rx) const;
 
   channel::Environment env_;
   channel::Pose tx_pose_;
@@ -121,6 +133,7 @@ class LinkWorld {
   std::unique_ptr<channel::BlockageEventProcess> events_;
   std::vector<channel::Path> paths_;
   TrialWorkspace* ws_ = nullptr;  ///< not owned; see bind_workspace
+  std::uint64_t tick_id_ = 0;     ///< ws_ phasor-slot key of this tick
   double t_s_ = 0.0;
 };
 

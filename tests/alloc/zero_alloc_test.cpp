@@ -8,6 +8,7 @@
 // anywhere in the stack fails loudly with the offending count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdio>
@@ -235,6 +236,54 @@ TEST_F(ZeroAllocTest, CsiProbeAllocatesOnlyItsResult) {
     EXPECT_EQ(audit.delta(), 1u) << "CSI probe at tick " << i;
     EXPECT_EQ(csi.size(), world.config().spec.num_subcarriers);
   }
+}
+
+// The tick's delay-phasor table lives in the workspace's one shared
+// slot, reserved at bind for the scene's largest path count (LOS, one
+// bounce per wall, IRS panels). The walk below starts where the trace
+// returns the fewest paths and gains paths on the way, so a slot sized on
+// first use would regrow; reserved at bind, it never does: from the end
+// of the first tick on, a whole trial of set_time + 16-beam CSI probe
+// sweep + score leaves the workspace arena's footprint flat (a regrown
+// pmr vector would strand its old buffer on the monotonic arena) and the
+// scoring statements allocate nothing.
+TEST_F(ZeroAllocTest, TickPhasorSlotIsReservedAtBind) {
+  sim::ScenarioSpec scenario = fig18_scenario();
+  scenario.ue_start = {2.0, 6.2};  // 3 paths at t = 0, 4 later on
+  scenario.ue_velocity = {2.0, -3.0};
+  sim::LinkWorld world = sim::ScenarioRegistry::instance().make(scenario);
+  sim::TrialWorkspace workspace;
+  world.bind_workspace(&workspace);
+  const core::LinkProbeInterface link = world.probe_interface();
+  std::vector<CVec> beams;
+  for (std::size_t b = 0; b < 16; ++b) {
+    beams.push_back(array::single_beam_weights(
+        world.config().tx_ula, -0.9 + 0.12 * static_cast<double>(b)));
+  }
+
+  std::size_t arena_after_first_tick = 0;
+  std::size_t first_paths = 0;
+  std::size_t most_paths = 0;
+  std::size_t scoring_allocations = 0;
+  for (std::size_t i = 0; i < kNumTicks; ++i) {
+    world.set_time(static_cast<double>(i) * kTickS);
+    for (const CVec& w : beams) (void)link.csi(w);
+    {
+      mmr::testing::AllocationCounter audit;
+      (void)world.true_snr_db(beams[0]);
+      scoring_allocations += audit.delta();
+    }
+    if (i == 0) {
+      arena_after_first_tick = workspace.arena().bytes_in_use();
+      first_paths = world.paths().size();
+    }
+    most_paths = std::max(most_paths, world.paths().size());
+  }
+  EXPECT_LT(first_paths, most_paths)
+      << "the walk no longer gains paths; the audit would be vacuous";
+  EXPECT_EQ(workspace.arena().bytes_in_use(), arena_after_first_tick)
+      << "the phasor slot regrew after the first tick";
+  EXPECT_EQ(scoring_allocations, 0u);
 }
 
 // Full-trial regression: the complete run_experiment (controller,

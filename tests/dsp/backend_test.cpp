@@ -105,7 +105,11 @@ TEST_P(KernelEdges, LengthZeroIsANoOp) {
   dsp::axpy_phasor_ramp(cplx(3.0, 1.0), 0.7, &guard, 0);
   EXPECT_EQ(guard, cplx(42.0, -7.0));
   const double freq = 1e6;
-  dsp::accumulate_delay_phasors(cplx(3.0, 1.0), &freq, 1e-9, &guard, 0);
+  const dsp::FreqGrid empty = dsp::make_freq_grid(&freq, 0);
+  cplx ph_guard(5.0, 6.0);
+  dsp::delay_phasors(empty, 1e-9, &ph_guard);
+  EXPECT_EQ(ph_guard, cplx(5.0, 6.0));
+  dsp::axpy_delay_phasors(empty, cplx(3.0, 1.0), &ph_guard, &guard);
   EXPECT_EQ(guard, cplx(42.0, -7.0));
 }
 

@@ -254,7 +254,7 @@ TEST_F(KernelDiff, AxpyKernelsMatchNaiveLoops) {
 
 TEST_F(KernelDiff, DelayPhasorAccumulateMatchesScalarLoop) {
   Rng base(0xDE1A7ull);
-  UlpAudit audit("accumulate_delay_phasors");
+  UlpAudit audit("delay_phasors+axpy_delay_phasors");
   for (std::uint64_t c = 0; c < 150; ++c) {
     Rng rng = base.fork(c);
     channel::WidebandSpec spec;
@@ -269,8 +269,10 @@ TEST_F(KernelDiff, DelayPhasorAccumulateMatchesScalarLoop) {
     const CVec dst0 = random_cvec(rng, freqs.size());
 
     CVec got = dst0;
-    dsp::accumulate_delay_phasors(alpha, freqs.data(), delay, got.data(),
-                                  got.size());
+    const dsp::FreqGrid grid = dsp::make_freq_grid(freqs.data(), freqs.size());
+    CVec ph(freqs.size());
+    dsp::delay_phasors(grid, delay, ph.data());
+    dsp::axpy_delay_phasors(grid, alpha, ph.data(), got.data());
     for (std::size_t k = 0; k < freqs.size(); ++k) {
       const double ang = -2.0 * kPi * freqs[k] * delay;
       const cplx ref = dst0[k] + alpha * cplx(std::cos(ang), std::sin(ang));
@@ -842,7 +844,7 @@ TEST_P(KernelBackendSweep, AxpyKernelsWithinDeclaredTolerance) {
 
 TEST_P(KernelBackendSweep, DelayPhasorsWithinDeclaredTolerance) {
   Rng base(0xB4C4DE1A7ull);
-  UlpAudit audit(std::string("accumulate_delay_phasors/") +
+  UlpAudit audit(std::string("delay_phasors+axpy_delay_phasors/") +
                  std::string(dsp::backend_name(GetParam())));
   for (std::uint64_t c = 0; c < 300; ++c) {
     Rng rng = base.fork(c);
@@ -864,15 +866,19 @@ TEST_P(KernelBackendSweep, DelayPhasorsWithinDeclaredTolerance) {
     const cplx alpha = rng.complex_normal();
     const double delay = rng.uniform(0.0, 500e-9);
     const CVec dst0 = random_cvec(rng, n);
+    const dsp::FreqGrid grid = dsp::make_freq_grid(freqs.data(), n);
+    CVec ph(n);
     CVec ref = dst0;
     {
       dsp::ScopedBackend scalar(dsp::Backend::kScalar);
       ASSERT_TRUE(scalar.ok());
-      dsp::accumulate_delay_phasors(alpha, freqs.data(), delay, ref.data(), n);
+      dsp::delay_phasors(grid, delay, ph.data());
+      dsp::axpy_delay_phasors(grid, alpha, ph.data(), ref.data());
     }
     with_backend([&] {
       CVec got = dst0;
-      dsp::accumulate_delay_phasors(alpha, freqs.data(), delay, got.data(), n);
+      dsp::delay_phasors(grid, delay, ph.data());
+      dsp::axpy_delay_phasors(grid, alpha, ph.data(), got.data());
       for (std::size_t k = 0; k < n; ++k) {
         audit.compare_tol(got[k], ref[k], tol_.delay_phasors,
                           std::abs(dst0[k]) + std::abs(alpha));

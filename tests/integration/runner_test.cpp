@@ -7,6 +7,7 @@
 
 #include "common/rng.h"
 #include "phy/link_budget.h"
+#include "phy/mcs.h"
 #include "sim/engine.h"
 #include "sim/scenario.h"
 #include "sim/workspace.h"
@@ -212,6 +213,51 @@ TEST(Runner, ScoreFoldsInterferenceIntoSinr) {
       link.score(0.0, 0.005, world.power_for_snr(0.0));
   EXPECT_EQ(hit.snr_db, phy::sinr_db(clean.snr_db, 1.0));
   EXPECT_LT(hit.throughput_bps, clean.throughput_bps);
+}
+
+// advance() takes the tick's true SNR right after the controller step
+// (so it reuses the tick's delay phasors); score() only folds in
+// interference and maps the MCS. Over a live mmReliable trial on a bound
+// workspace, score(t, ov, 0) must be the world's SNR under the
+// controller's beam right after advance(t), and the SINR path must fold
+// that same SNR exactly as before.
+TEST(Runner, ScoreReturnsTheSnrAdvanceTook) {
+  ScenarioSpec scenario;
+  scenario.name = "indoor_sparse";
+  scenario.config = cfg(29);
+  scenario.ue_velocity = {0.6, 0.3};
+  scenario.blockers.push_back({0.1, 1.0, 30.0});
+  ControllerSpec controller;
+  controller.name = "mmreliable";
+  TrialWorkspace ws;
+  LinkSession link(scenario, controller, &ws);
+  const double bandwidth = link.world().config().spec.bandwidth_hz;
+  bool saw_unavailable = false;
+  bool saw_available = false;
+  for (std::size_t i = 0; i < 120; ++i) {
+    const double t = static_cast<double>(i) * 2.5e-3;
+    link.advance(t);
+    const double truth =
+        link.world().true_snr_db(link.controller().tx_weights());
+    const core::LinkSample clean = link.score(t, 0.005, 0.0);
+    EXPECT_EQ(clean.snr_db, truth) << "tick " << i;
+
+    const double interference = 0.7 * link.world().power_for_snr(3.0);
+    const core::LinkSample hit = link.score(t, 0.005, interference);
+    EXPECT_EQ(hit.snr_db,
+              phy::sinr_db(truth,
+                           interference / link.world().power_for_snr(0.0)))
+        << "tick " << i;
+    EXPECT_EQ(hit.available, clean.available) << "tick " << i;
+    EXPECT_EQ(hit.throughput_bps,
+              hit.available ? phy::McsTable::nr().throughput_bps(
+                                  hit.snr_db, bandwidth, 0.005)
+                            : 0.0)
+        << "tick " << i;
+    (clean.available ? saw_available : saw_unavailable) = true;
+  }
+  EXPECT_TRUE(saw_available);
+  EXPECT_TRUE(saw_unavailable);  // the initial training sweep
 }
 
 }  // namespace
