@@ -76,7 +76,7 @@ SchemeStats stats_of(const sim::EngineResult& res, std::size_t scheme,
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto opts = sim::parse_sweep_cli(argc, argv);
+  const auto opts = sim::parse_sweep_cli(argc, argv);
   const std::size_t reps = opts.trials > 0 ? opts.trials : 3;
   const std::uint64_t seed = opts.seed > 0 ? opts.seed : 13;
   // --faults NAME narrows the sweep to that one preset.

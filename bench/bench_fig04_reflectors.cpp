@@ -101,7 +101,7 @@ void print_cdf(const char* label, const RVec& samples) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto opts = sim::parse_sweep_cli(argc, argv);
+  const auto opts = sim::parse_sweep_cli(argc, argv);
   std::printf("=== Fig. 4a: CDF of reflected-path relative attenuation ===\n");
   std::printf("(paper: 1-10 dB range; median 7.2 dB indoor, 5 dB outdoor)\n");
   Rng rng(2024);

@@ -64,7 +64,7 @@ Series evaluate(const std::vector<channel::Path>& paths,
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto opts = sim::parse_sweep_cli(argc, argv);
+  const auto opts = sim::parse_sweep_cli(argc, argv);
   std::printf("=== Figs. 7-8: SNR across frequency, delay phased array ===\n");
   std::printf("(values in dB relative to a single beam on path 1)\n\n");
 

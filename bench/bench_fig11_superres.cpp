@@ -39,7 +39,7 @@ CVec synth_cir(std::size_t taps, const std::vector<cplx>& amps,
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto opts = sim::parse_sweep_cli(argc, argv);
+  const auto opts = sim::parse_sweep_cli(argc, argv);
   std::printf("=== Fig. 11a: per-beam power MSE vs relative ToF ===\n");
   std::printf("(2-path CIR, second path -6 dB; system resolution 2.5 ns)\n");
   Rng rng(7);

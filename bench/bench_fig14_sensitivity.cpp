@@ -59,7 +59,7 @@ void print_closed_form_sensitivity() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto opts = sim::parse_sweep_cli(argc, argv);
+  const auto opts = sim::parse_sweep_cli(argc, argv);
   // The grids are closed-form; this campaign measures how the end-to-end
   // controller degrades as the link margin shrinks (estimation errors
   // bite hardest when the margin is thin).

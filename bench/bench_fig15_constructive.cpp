@@ -27,7 +27,7 @@
 using namespace mmr;
 
 int main(int argc, char** argv) {
-  auto opts = sim::parse_sweep_cli(argc, argv);
+  const auto opts = sim::parse_sweep_cli(argc, argv);
   sim::ScenarioConfig cfg;
   cfg.seed = 7;
   sim::LinkWorld world = sim::make_indoor_world(cfg);

@@ -40,7 +40,7 @@ std::vector<channel::Path> rotated(const std::vector<channel::Path>& paths,
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto opts = sim::parse_sweep_cli(argc, argv);
+  const auto opts = sim::parse_sweep_cli(argc, argv);
   sim::ScenarioConfig cfg;
   cfg.seed = opts.seed > 0 ? opts.seed : 11;
   // Controlled 2-path channel for the tracking micro-benchmarks: the

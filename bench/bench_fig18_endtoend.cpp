@@ -42,7 +42,7 @@ constexpr double kTightTxPowerDbm = 14.0;
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto opts = sim::parse_sweep_cli(argc, argv);
+  const auto opts = sim::parse_sweep_cli(argc, argv);
   const std::size_t runs = opts.trials > 0 ? opts.trials : 20;
   const std::uint64_t seed = opts.seed > 0 ? opts.seed : 100;
   const auto all = schemes();

@@ -13,7 +13,7 @@
 using namespace mmr;
 
 int main(int argc, char** argv) {
-  auto opts = sim::parse_sweep_cli(argc, argv);
+  const auto opts = sim::parse_sweep_cli(argc, argv);
   const phy::ReferenceSignalConfig rs;
   std::printf("=== Fig. 18d: probing overhead vs number of antennas ===\n");
   Table t({"antennas", "5G NR fast scan (ms)", "mmReliable 2-beam (ms)",

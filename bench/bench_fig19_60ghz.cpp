@@ -87,7 +87,7 @@ CarrierResult evaluate(double carrier_hz, const channel::Material& material,
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto opts = sim::parse_sweep_cli(argc, argv);
+  const auto opts = sim::parse_sweep_cli(argc, argv);
   std::printf("=== Fig. 19: multi-beam gain at 28 GHz vs 60 GHz ===\n");
   std::printf("(10 m link, side reflector, 10%% LOS blockage)\n\n");
   Table t({"carrier", "reflector", "single-beam (Mbps)", "multi-beam (Mbps)",

@@ -40,7 +40,7 @@ Outcome outcome_of(const core::LinkSummary& summary,
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto opts = sim::parse_sweep_cli(argc, argv);
+  const auto opts = sim::parse_sweep_cli(argc, argv);
   std::printf("=== Section 8 future work: engineered reflections (IRS) ===\n");
   std::printf("(reflection-poor wooden room, LOS blocked ~0.25-0.75 s)\n\n");
 

@@ -30,7 +30,7 @@ core::UserChannel make_user(std::vector<double> angles_deg,
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto opts = sim::parse_sweep_cli(argc, argv);
+  const auto opts = sim::parse_sweep_cli(argc, argv);
   const array::Ula ula{16, 0.5};
   const phy::McsTable& mcs = phy::McsTable::nr();
   const double noise = 1e-3;

@@ -22,7 +22,9 @@
 // --json-out receives the standard sweep records (write_sweep_json), so a
 // 1-cell/1-UE run is byte-comparable to the engine path. --controller
 // narrows the sweep to one scheme; --scenario swaps the crowd template
-// (default indoor_crowd).
+// (default indoor_crowd). The network campaign keeps no trial journal, so
+// --resume, --trial-retries, --trial-timeout-s, --shard and --merge exit 2
+// instead of being ignored.
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -105,15 +107,12 @@ int main(int argc, char** argv) {
       argc, argv, extra,
       "          [--cells N] [--ues-per-cell N] [--cell-spacing-m X]\n"
       "          [--network-json-out FILE]");
-  if (opts.shard.enabled() || !opts.shard_queue.empty() ||
-      !opts.merge.empty()) {
-    std::fprintf(stderr,
-                 "%s: --shard/--shard-queue/--merge apply only to "
-                 "trial-campaign benches; the network campaign has no "
-                 "journal to shard\n",
-                 argv[0]);
-    return 2;
-  }
+  sim::reject_flags(
+      opts,
+      {sim::CampaignFlag::kResume, sim::CampaignFlag::kTrialRetries,
+       sim::CampaignFlag::kTrialTimeout, sim::CampaignFlag::kShard,
+       sim::CampaignFlag::kMerge},
+      argv[0], "the network campaign");
   const std::size_t trials = opts.trials > 0 ? opts.trials : 10;
   const std::uint64_t seed = opts.seed > 0 ? opts.seed : 21;
   const std::vector<std::string> schemes =

@@ -51,7 +51,7 @@ double simulated_gain_db(double delta, double sigma) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto opts = sim::parse_sweep_cli(argc, argv);
+  const auto opts = sim::parse_sweep_cli(argc, argv);
   std::printf("=== Multi-beam SNR law: gain = 1 + delta^2 (Eq. 9) ===\n");
   Table t({"delta (dB)", "theory gain (dB)", "simulated gain (dB)", "error"});
   for (double delta_db : {-20.0, -10.0, -6.0, -3.0, -1.0, 0.0}) {

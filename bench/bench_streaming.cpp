@@ -29,11 +29,14 @@
 //                        flushed once at the end; campaigns keep 1)
 //
 // --seed/--jobs/--controller/--scenario/--freeze-timing/--json-out come
-// from the shared CLI. With --freeze-timing the ENTIRE JSON stream is
-// byte-identical across --jobs values (the determinism contract pinned
-// by tests/streaming): the {"rss": ...} lines are suppressed and the
-// summary's rss fields zeroed, because RSS is machine state like wall
-// clock (thread stacks alone shift VmRSS across jobs counts).
+// from the shared CLI; the service runs no trial campaign, so --trials,
+// --faults, --resume, --trial-retries, --trial-timeout-s, --shard and
+// --merge exit 2 instead of being ignored. With --freeze-timing the
+// ENTIRE JSON stream is byte-identical across --jobs values (the
+// determinism contract pinned by tests/streaming): the {"rss": ...}
+// lines are suppressed and the summary's rss fields zeroed, because RSS
+// is machine state like wall clock (thread stacks alone shift VmRSS
+// across jobs counts).
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -189,16 +192,13 @@ int main(int argc, char** argv) {
       "          [--max-sessions N] [--tick-s X] [--cells N]\n"
       "          [--ues-per-cell N] [--interference 0|1] "
       "[--flush-every-n N]");
-  if (opts.shard.enabled() || !opts.shard_queue.empty() ||
-      !opts.merge.empty()) {
-    std::fprintf(stderr,
-                 "%s: --shard/--shard-queue/--merge apply only to "
-                 "trial-campaign benches; the streaming service has no "
-                 "journal to shard (--shards here sizes the session "
-                 "table)\n",
-                 argv[0]);
-    return 2;
-  }
+  sim::reject_flags(
+      opts,
+      {sim::CampaignFlag::kTrials, sim::CampaignFlag::kFaults,
+       sim::CampaignFlag::kResume, sim::CampaignFlag::kTrialRetries,
+       sim::CampaignFlag::kTrialTimeout, sim::CampaignFlag::kShard,
+       sim::CampaignFlag::kMerge},
+      argv[0], "the streaming service");
 
   sim::StreamingSpec spec;
   spec.name = "streaming";

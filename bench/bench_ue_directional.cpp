@@ -99,7 +99,7 @@ const char* motion_name(core::MotionKind k) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto opts = sim::parse_sweep_cli(argc, argv);
+  const auto opts = sim::parse_sweep_cli(argc, argv);
   std::printf("=== Section 4.4: directional UE, joint beam management ===\n");
   Table t({"event", "true motion", "classified", "SNR before (dB)",
            "SNR dropped (dB)", "SNR recovered (dB)"});

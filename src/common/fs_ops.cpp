@@ -134,19 +134,6 @@ void rename_retry(const std::string& from, const std::string& to,
   }
 }
 
-bool rename_if_exists(const std::string& from, const std::string& to,
-                      const RetryPolicy& policy) {
-  int attempts_left = policy.max_attempts;
-  double backoff_s = policy.initial_backoff_s;
-  for (;;) {
-    if (ops().rename_fn(from.c_str(), to.c_str()) == 0) return true;
-    if (errno == ENOENT) return false;
-    if (!transient_errno(errno) || !backoff_step(attempts_left, backoff_s)) {
-      throw IoError("rename", to, errno);
-    }
-  }
-}
-
 void close_or_throw(int fd, const std::string& path) {
   if (ops().close_fn(fd) != 0 && errno != EINTR) {
     throw IoError("close", path, errno);

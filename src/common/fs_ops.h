@@ -1,13 +1,12 @@
 // Hookable filesystem syscalls with bounded deterministic retry.
 //
 // Every syscall the durability layer depends on (AtomicFile's staged
-// commit, the campaign journal's fsync'd append, the shard queue's
-// claim-by-rename) routes through a per-process fn-pointer table -- the
-// same pattern as dsp::backend -- so tests can install a faulting table
-// that deterministically injects EINTR storms, short writes, ENOSPC, and
-// delays into every recovery path. Production always runs the real
-// syscalls; the hook exists so crash-recovery code is exercised by tests
-// rather than by luck.
+// commit, the campaign journal's fsync'd append and seal) routes through
+// a per-process fn-pointer table -- the same pattern as dsp::backend --
+// so tests can install a faulting table that deterministically injects
+// EINTR storms, short writes, ENOSPC, and delays into every recovery
+// path. Production always runs the real syscalls; the hook exists so
+// crash-recovery code is exercised by tests rather than by luck.
 //
 // On top of the table sit retrying wrappers: transient failures (EINTR,
 // EAGAIN, momentary EBUSY -- think interrupted syscalls and NFS hiccups)
@@ -18,8 +17,8 @@
 // count and backoff schedule are fixed, and the sleeper is part of the
 // hook table so tests observe the exact schedule without real delays.
 //
-// POSIX-only, like the shard queue: non-POSIX builds keep their stdio
-// fallbacks and never reference this layer.
+// POSIX-only: non-POSIX builds keep their stdio fallbacks and never
+// reference this layer.
 #pragma once
 
 #include <cstddef>
@@ -98,12 +97,6 @@ void fsync_retry(int fd, const std::string& path,
 /// rename(2) with transient retry. Throws IoError("rename", to, errno).
 void rename_retry(const std::string& from, const std::string& to,
                   const RetryPolicy& policy = {});
-
-/// rename(2) where a missing source is an expected outcome (queue claim
-/// races): returns false on ENOENT, true on success, and throws IoError
-/// on anything else after transient retries.
-bool rename_if_exists(const std::string& from, const std::string& to,
-                      const RetryPolicy& policy = {});
 
 /// close(2); EINTR is treated as success (POSIX leaves the fd state
 /// unspecified and Linux closes it). Throws IoError("close", path, errno)

@@ -1,7 +1,7 @@
 // Typed filesystem error for the durability layer.
 //
-// AtomicFile, the campaign journal, and the shard queue previously threw
-// bare std::runtime_error with errno text baked into the message; callers
+// AtomicFile and the campaign journal previously threw bare
+// std::runtime_error with errno text baked into the message; callers
 // that need to react to the *kind* of failure (retryable vs fatal, which
 // path, which operation) had to parse strings. IoError keeps the message
 // (so every existing catch site still reads well) but carries the

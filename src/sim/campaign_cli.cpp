@@ -5,6 +5,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <vector>
@@ -52,7 +53,7 @@ void require_fault_preset(const std::string& name, const char* prog) {
 
 /// Validate and APPLY a --kernel-backend value. Unlike the
 /// MMR_KERNEL_BACKEND environment override (which warns and falls back,
-/// so fleet-wide env settings stay safe on mixed machines), the explicit
+/// so one env setting stays safe on mixed machines), the explicit
 /// flag is an A/B-measurement instrument: silently benchmarking the
 /// wrong backend would corrupt the comparison, so unknown or
 /// unsupported-on-this-CPU names exit(2).
@@ -80,50 +81,13 @@ bool distributed_role(const SweepCliOptions& opts) {
   return opts.shard.enabled() || !opts.merge.empty();
 }
 
-/// --shard-queue: initialise the queue (--shards), claim a shard, and
-/// start the heartbeat that keeps the claim's lease fresh. Runs once per
-/// options object: the claimed shard stays in opts.shard.
-void claim_queued_shard(SweepCliOptions& opts, const std::string& campaign) {
-  LeaseOptions lease_opts;
-  if (opts.lease_ttl_s > 0.0) lease_opts.ttl_s = opts.lease_ttl_s;
-  try {
-    if (opts.shards > 0) ShardQueue::init(opts.shard_queue, opts.shards);
-    const std::optional<ShardPlan> claimed =
-        ShardQueue::claim(opts.shard_queue, lease_opts);
-    if (!claimed.has_value()) {
-      std::fprintf(stderr,
-                   "%s: shard queue '%s' has no unclaimed shards; nothing "
-                   "to do\n",
-                   campaign.c_str(), opts.shard_queue.c_str());
-      std::exit(0);
-    }
-    opts.shard = *claimed;
-    opts.lease_keeper = std::make_shared<ShardLeaseKeeper>(
-        opts.shard_queue, opts.shard, lease_opts);
-    std::fprintf(stderr, "%s: claimed %s from '%s'\n", campaign.c_str(),
-                 opts.shard.suffix().c_str(), opts.shard_queue.c_str());
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s: shard queue error: %s\n", campaign.c_str(),
-                 e.what());
-    std::exit(2);
-  }
-}
-
 /// --merge: merge the campaign's shard journals into the unsharded
 /// journal `merged` and open it for replay.
 std::unique_ptr<CampaignJournal> open_merged_journal(
     const ExperimentSpec& spec, const SweepCliOptions& opts) {
   const std::string merged = journal_path(opts.merge, spec.name);
-  std::vector<std::string> shard_paths;
-  try {
-    // --watch waits for the fleet: poll until every shard journal exists
-    // and carries an intact seal, then merge the finished set.
-    shard_paths = opts.watch ? watch_shard_journals(merged, spec.name)
-                             : discover_shard_journals(merged);
-  } catch (const JournalMismatchError& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    std::exit(2);
-  }
+  const std::vector<std::string> shard_paths =
+      discover_shard_journals(merged);
   if (shard_paths.empty()) {
     std::fprintf(stderr,
                  "no shard journals found for campaign '%s' under base "
@@ -249,9 +213,9 @@ SweepCliOptions parse_sweep_cli(int argc, char** argv,
   SweepCliOptions opts;
   const char* prog = argv[0];
   for (int i = 1; i < argc; ++i) {
-    // Bench-specific flags win over sweep-wide ones so a bench that
-    // already owns a spelling (bench_streaming's --shards counts
-    // StreamingSpec shards) keeps its meaning.
+    // Bench-specific flags are tried first, so a bench's own spelling
+    // (bench_streaming's --shards sizes its session table) keeps the
+    // bench's meaning even where the shared grammar knows the name too.
     if (extra && extra(i, argc, argv)) {
       continue;
     }
@@ -294,43 +258,22 @@ SweepCliOptions parse_sweep_cli(int argc, char** argv,
       // Validated AND applied eagerly: the backend switch is process
       // global and must land before any sweep warms kernel caches.
       apply_kernel_backend(opts.kernel_backend, prog);
-    } else if (const char* v12 = flag_value(i, argc, argv, "--shard-queue")) {
-      opts.shard_queue = v12;
-      if (opts.shard_queue.empty()) {
-        std::fprintf(stderr, "%s: --shard-queue needs a directory\n", prog);
-        std::exit(2);
-      }
-    } else if (const char* v13 = flag_value(i, argc, argv, "--shards")) {
-      opts.shards = require_size("--shards", v13, prog);
-      if (opts.shards == 0) {
-        std::fprintf(stderr, "%s: --shards needs at least 1 shard\n", prog);
-        std::exit(2);
-      }
-    } else if (const char* v14 = flag_value(i, argc, argv, "--shard")) {
-      const std::optional<ShardPlan> plan = ShardPlan::parse(v14);
+    } else if (const char* v12 = flag_value(i, argc, argv, "--shard")) {
+      const std::optional<ShardPlan> plan = ShardPlan::parse(v12);
       if (!plan.has_value()) {
         std::fprintf(stderr,
                      "%s: invalid value for --shard: '%s' (expected I/N "
                      "with base-10 I < N, e.g. 0/3)\n",
-                     prog, v14);
+                     prog, v12);
         std::exit(2);
       }
       opts.shard = *plan;
-    } else if (const char* v15 = flag_value(i, argc, argv, "--merge")) {
-      opts.merge = v15;
+    } else if (const char* v13 = flag_value(i, argc, argv, "--merge")) {
+      opts.merge = v13;
       if (opts.merge.empty()) {
         std::fprintf(stderr, "%s: --merge needs a journal base path\n", prog);
         std::exit(2);
       }
-    } else if (const char* v16 = flag_value(i, argc, argv, "--lease-ttl-s")) {
-      opts.lease_ttl_s = require_f64("--lease-ttl-s", v16, prog);
-      if (opts.lease_ttl_s <= 0.0) {
-        std::fprintf(stderr, "%s: --lease-ttl-s needs a positive TTL\n",
-                     prog);
-        std::exit(2);
-      }
-    } else if (std::strcmp(argv[i], "--watch") == 0) {
-      opts.watch = true;
     } else {
       std::fprintf(stderr,
                    "usage: %s [--jobs N] [--trials N] [--seed S]\n"
@@ -339,9 +282,7 @@ SweepCliOptions parse_sweep_cli(int argc, char** argv,
                    "          [--json-out FILE]\n"
                    "          [--resume BASE] [--trial-retries N]\n"
                    "          [--trial-timeout-s X] [--freeze-timing]\n"
-                   "          [--shard I/N | --shard-queue DIR "
-                   "[--shards N] [--lease-ttl-s X]]\n"
-                   "          [--merge BASE [--watch]]\n"
+                   "          [--shard I/N] [--merge BASE]\n"
                    "          [--list]%s%s\n"
                    "unknown argument: %s\n",
                    prog, extra_usage != nullptr ? "\n" : "",
@@ -350,46 +291,50 @@ SweepCliOptions parse_sweep_cli(int argc, char** argv,
     }
   }
   // Distributed-flag constraints: one role per invocation.
-  if (opts.shard.enabled() && !opts.shard_queue.empty()) {
-    std::fprintf(stderr,
-                 "%s: --shard and --shard-queue are mutually exclusive "
-                 "(name the shard or claim it from the queue, not both)\n",
-                 prog);
-    std::exit(2);
-  }
-  if (opts.shards > 0 && opts.shard_queue.empty()) {
-    std::fprintf(stderr, "%s: --shards requires --shard-queue DIR\n", prog);
-    std::exit(2);
-  }
-  if (!opts.merge.empty() &&
-      (opts.shard.enabled() || !opts.shard_queue.empty() ||
-       !opts.resume.empty())) {
+  if (!opts.merge.empty() && (opts.shard.enabled() || !opts.resume.empty())) {
     std::fprintf(stderr,
                  "%s: --merge is a standalone role; it cannot be combined "
-                 "with --shard, --shard-queue, or --resume\n",
+                 "with --shard or --resume\n",
                  prog);
     std::exit(2);
   }
-  if ((opts.shard.enabled() || !opts.shard_queue.empty()) &&
-      opts.resume.empty()) {
+  if (opts.shard.enabled() && opts.resume.empty()) {
     std::fprintf(stderr,
-                 "%s: --shard/--shard-queue require --resume BASE (the "
-                 "shard journal is the worker's output)\n",
+                 "%s: --shard requires --resume BASE (the shard journal is "
+                 "the worker's output)\n",
                  prog);
-    std::exit(2);
-  }
-  if (opts.lease_ttl_s > 0.0 && opts.shard_queue.empty()) {
-    std::fprintf(stderr,
-                 "%s: --lease-ttl-s requires --shard-queue DIR (leases "
-                 "only exist on queue-claimed shards)\n",
-                 prog);
-    std::exit(2);
-  }
-  if (opts.watch && opts.merge.empty()) {
-    std::fprintf(stderr, "%s: --watch requires --merge BASE\n", prog);
     std::exit(2);
   }
   return opts;
+}
+
+void reject_flags(const SweepCliOptions& opts,
+                  std::initializer_list<CampaignFlag> flags, const char* prog,
+                  const char* what) {
+  const struct {
+    CampaignFlag flag;
+    const char* spelling;
+    bool set;
+  } known[] = {
+      {CampaignFlag::kTrials, "--trials", opts.trials > 0},
+      {CampaignFlag::kFaults, "--faults", !opts.faults.empty()},
+      {CampaignFlag::kResume, "--resume", !opts.resume.empty()},
+      {CampaignFlag::kTrialRetries, "--trial-retries", opts.trial_retries > 0},
+      {CampaignFlag::kTrialTimeout, "--trial-timeout-s",
+       opts.trial_timeout_s > 0.0},
+      {CampaignFlag::kShard, "--shard", opts.shard.enabled()},
+      {CampaignFlag::kMerge, "--merge", !opts.merge.empty()},
+  };
+  bool rejected = false;
+  for (const CampaignFlag flag : flags) {
+    for (const auto& k : known) {
+      if (k.flag != flag || !k.set) continue;
+      std::fprintf(stderr, "%s: %s is not supported by %s\n", prog,
+                   k.spelling, what);
+      rejected = true;
+    }
+  }
+  if (rejected) std::exit(2);
 }
 
 void apply_cli(const SweepCliOptions& opts, ExperimentSpec& spec) {
@@ -399,11 +344,8 @@ void apply_cli(const SweepCliOptions& opts, ExperimentSpec& spec) {
   if (!opts.faults.empty()) spec.run.faults = fault_preset(opts.faults);
 }
 
-EngineResult run_campaign(ExperimentSpec spec, SweepCliOptions& opts) {
+EngineResult run_campaign(ExperimentSpec spec, const SweepCliOptions& opts) {
   apply_cli(opts, spec);
-  if (!opts.shard_queue.empty() && !opts.shard.enabled()) {
-    claim_queued_shard(opts, spec.name);
-  }
   EngineOptions eng_opts;
   eng_opts.trial_retries = opts.trial_retries;
   eng_opts.trial_timeout_s = opts.trial_timeout_s;
@@ -455,7 +397,7 @@ EngineResult run_campaign(ExperimentSpec spec, SweepCliOptions& opts) {
   return result;
 }
 
-void run_campaign(const ExperimentSpec& spec, SweepCliOptions& opts,
+void run_campaign(const ExperimentSpec& spec, const SweepCliOptions& opts,
                   const FigureReport& figure) {
   const EngineResult result = run_campaign(spec, opts);
   if (distributed_role(opts)) {

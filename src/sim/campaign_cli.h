@@ -19,10 +19,11 @@
 //                      execute exit(2)s too -- forcing is for A/B
 //                      measurement and must not silently fall back. Same
 //                      effect as MMR_KERNEL_BACKEND in the environment
-//                      (which DOES fall back with a warning, for fleet
-//                      use). Goldens are scalar-backend; figure outputs
-//                      on fast backends agree within the declared kernel
-//                      tolerances (see DESIGN.md).
+//                      (which DOES fall back with a warning, so one
+//                      setting is safe on mixed machines). Goldens are
+//                      scalar-backend; figure outputs on fast backends
+//                      agree within the declared kernel tolerances (see
+//                      DESIGN.md).
 //   --json-out FILE    additionally write the JSON record(s) to FILE,
 //                      atomically (write-temp + fsync + rename): a crash
 //                      leaves either the previous FILE or the complete new
@@ -55,31 +56,6 @@
 //                      output). Trial randomness derives purely from
 //                      (seed, index), so shard trials are bit-identical
 //                      to the 1-process run's.
-//   --shard-queue DIR  claim a shard from the file-based work queue under
-//                      DIR instead of naming it: `--shards N` (first
-//                      caller wins the init) offers tickets shard-0-of-N
-//                      .. shard-(N-1)-of-N; each worker atomically claims
-//                      the lowest free one (claim-by-rename). The claim
-//                      is made when the process starts its first
-//                      campaign, and every later campaign runs the same
-//                      shard. The claim is a LEASE: a background
-//                      heartbeat renews it every ttl/4 for the life of
-//                      the options, and a shard whose lease goes stale
-//                      (worker SIGKILL'd, machine lost) is automatically
-//                      reclaimed by the next claimer and resumed from its
-//                      journal. An empty queue prints a note and exits 0,
-//                      so a fleet loop can simply spawn more workers than
-//                      shards. Requires --resume; mutually exclusive with
-//                      --shard.
-//   --lease-ttl-s X    lease time-to-live for --shard-queue claims
-//                      (default 300). A dead worker's shard is reclaimed
-//                      after X + X/4 seconds of missed heartbeats,
-//                      measured on the queue filesystem's own clock (so
-//                      cross-machine wall-clock skew is harmless). Set
-//                      well above the longest expected worker stall
-//                      (GC-less here, but think NFS hiccups): a live
-//                      worker that loses its lease stops being the
-//                      shard's owner.
 //   --merge BASE       merge the shard journals written under --resume
 //                      BASE back into the unsharded journal
 //                      BASE.<campaign>.journal (validating that every
@@ -91,24 +67,14 @@
 //                      checkpoint, or quarantined -- quarantine is never
 //                      journaled) re-run live. With --freeze-timing the
 //                      merged JSON is byte-identical to the 1-process
-//                      run. Mutually exclusive with --shard/--shard-queue
-//                      and --resume.
-//   --watch            with --merge: instead of requiring every shard
-//                      journal to exist up front, poll the journals as
-//                      the fleet writes them, reporting per-shard
-//                      progress (and stragglers) on stderr, and finalize
-//                      the merge the moment every shard's journal carries
-//                      an intact seal footer. Tolerates torn tails and
-//                      mid-copy (rsync) files -- they read as fewer
-//                      intact records until the next poll; a journal
-//                      whose seal persistently disagrees with its records
-//                      exits 2 naming the seal (transport damage never
-//                      merges silently).
+//                      run. Mutually exclusive with --shard and --resume.
 //   --list             print the registered scenario/controller names and
 //                      the fault presets, then exit.
 // and ends each campaign's report with one JSON line (sweep timing,
 // per-trial wall-clock and LinkSummary values, aggregate) for machine
-// consumption.
+// consumption. Benches that parse this grammar but run no journaled
+// engine campaign (bench_network, bench_streaming) exit(2) on the flags
+// they cannot honour, through reject_flags().
 //
 // Numeric flags are validated strictly (common/parse.h): signs,
 // whitespace, trailing garbage, and out-of-range values exit(2) with a
@@ -119,7 +85,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
+#include <initializer_list>
 #include <string>
 
 #include "sim/engine.h"
@@ -140,18 +106,8 @@ struct SweepCliOptions {
   std::size_t trial_retries = 0;
   double trial_timeout_s = 0.0;  ///< 0 = watchdog off
   bool freeze_timing = false;
-  ShardPlan shard;          ///< --shard I/N (or claimed from the queue)
-  std::string shard_queue;  ///< --shard-queue DIR; empty = no queue
-  std::size_t shards = 0;   ///< --shards N: init the queue (0 = no init)
+  ShardPlan shard;          ///< --shard I/N; disabled = not a shard worker
   std::string merge;        ///< --merge BASE; empty = no merge
-  double lease_ttl_s = 0.0;  ///< --lease-ttl-s; 0 = LeaseOptions default
-  bool watch = false;       ///< --merge --watch: poll until all shards seal
-  /// Heartbeat for the queue-claimed shard, set by the first
-  /// run_campaign(): keeps the lease fresh while these options (and
-  /// their copies) live and marks the shard done/ when the last one is
-  /// destroyed. A process that exits without destroying them (exit(2) on
-  /// a campaign error, SIGKILL) leaves the shard to be reclaimed.
-  std::shared_ptr<ShardLeaseKeeper> lease_keeper;
 };
 
 /// The value of `flag` when argv[i] spells it: "--flag=V" yields V, and
@@ -178,11 +134,29 @@ using ExtraFlagHandler = std::function<bool(int& i, int argc, char** argv)>;
 /// Parse the shared grammar. Usage errors print to stderr and exit 2;
 /// --list prints the registries and exits 0. The only other effect is
 /// --kernel-backend, which switches the process-global kernel backend
-/// so it lands before any campaign warms kernel caches. Queue init and
-/// claims wait for the first run_campaign().
+/// so it lands before any campaign warms kernel caches.
 SweepCliOptions parse_sweep_cli(int argc, char** argv,
                                 const ExtraFlagHandler& extra = nullptr,
                                 const char* extra_usage = nullptr);
+
+/// Shared flags that only an engine campaign honours.
+enum class CampaignFlag {
+  kTrials,        ///< --trials
+  kFaults,        ///< --faults
+  kResume,        ///< --resume
+  kTrialRetries,  ///< --trial-retries
+  kTrialTimeout,  ///< --trial-timeout-s
+  kShard,         ///< --shard
+  kMerge,         ///< --merge
+};
+
+/// For a bench that parses the shared grammar but does not run what
+/// those flags act on: print "<prog>: <flag> is not supported by <what>"
+/// for each of `flags` that the command line set away from its default,
+/// then exit 2 if any was. A bench never silently ignores a flag.
+void reject_flags(const SweepCliOptions& opts,
+                  std::initializer_list<CampaignFlag> flags, const char* prog,
+                  const char* what);
 
 /// Apply the CLI's registry/jobs/faults overrides onto a bench's default
 /// spec. trials/seed are NOT applied here -- their meaning varies per
@@ -192,10 +166,6 @@ void apply_cli(const SweepCliOptions& opts, ExperimentSpec& spec);
 
 /// Run one engine campaign under the CLI's durability and distributed
 /// options; prints nothing to stdout.
-///
-/// --shard-queue: the first call initialises the queue (--shards), claims
-/// a shard, and stores it and its lease in `opts`; later calls run the
-/// same shard. An empty queue exits 0.
 ///
 /// --json-out: the record is staged in an AtomicFile during the run
 /// (preserving any content the file already holds, so several campaigns
@@ -220,7 +190,7 @@ void apply_cli(const SweepCliOptions& opts, ExperimentSpec& spec);
 /// journaled trials restore bit-exactly, missing ones re-run live under
 /// the same retry/timeout flags (deterministic failures re-quarantine
 /// identically). Invalid shard sets exit(2) naming the offending field.
-EngineResult run_campaign(ExperimentSpec spec, SweepCliOptions& opts);
+EngineResult run_campaign(ExperimentSpec spec, const SweepCliOptions& opts);
 
 /// A bench's human-readable report of one campaign (tables, anchors).
 using FigureReport = std::function<void(const EngineResult&)>;
@@ -229,7 +199,7 @@ using FigureReport = std::function<void(const EngineResult&)>;
 /// shard worker or merger, which have no per-tick samples and hold
 /// default summaries in non-owned slots, a progress note on stderr
 /// instead. The campaign's JSON line then goes to stdout in every role.
-void run_campaign(const ExperimentSpec& spec, SweepCliOptions& opts,
+void run_campaign(const ExperimentSpec& spec, const SweepCliOptions& opts,
                   const FigureReport& figure);
 
 }  // namespace mmr::sim

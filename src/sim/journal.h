@@ -105,9 +105,8 @@ struct JournalSeal {
   friend bool operator==(const JournalSeal&, const JournalSeal&) = default;
 };
 
-/// FNV-1a-64 offset basis / running fold used by the seal fingerprint
-/// (exposed so tests and the watch merger can recompute it over record
-/// lines).
+/// FNV-1a-64 offset basis / running fold of the seal fingerprint over
+/// record lines.
 inline constexpr std::uint64_t kJournalFnvOffset = 0xcbf29ce484222325ull;
 std::uint64_t journal_fnv1a(std::string_view bytes,
                             std::uint64_t seed = kJournalFnvOffset);

@@ -7,15 +7,12 @@
 // frozen everywhere (wall-clock can never reproduce).
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <sys/types.h>
@@ -298,235 +295,6 @@ TEST_F(DistributedCampaignTest, QuarantineInOneShardSurvivesTheMerge) {
   EXPECT_EQ(shard0.trials[1].index, 4u);
 
   EXPECT_EQ(merge_json(spec, base, "quar.json"), reference);
-}
-
-TEST_F(DistributedCampaignTest, QueueDrivenFleetMergesByteExactly) {
-  // Workers that self-assign shards from the file queue: more workers
-  // than shards, every worker loops until the queue is dry, claims are
-  // exclusive across PROCESSES (the in-process exclusivity is covered in
-  // shard_plan_test).
-  const sim::ExperimentSpec spec = fig16_like_spec();
-  const std::string reference = reference_json(spec);
-  const std::string base = dir_ + "/queue";
-  const std::string qdir = dir_ + "/qdir";
-  constexpr std::size_t kShards = 3;
-  sim::ShardQueue::init(qdir, kShards);
-
-  std::vector<pid_t> workers;
-  for (int w = 0; w < 4; ++w) {
-    const pid_t pid = ::fork();
-    ASSERT_NE(pid, -1);
-    if (pid == 0) {
-      while (const auto plan = sim::ShardQueue::claim(qdir)) {
-        sim::SweepCliOptions opts;
-        opts.resume = base;
-        opts.shard = *plan;
-        opts.freeze_timing = true;
-        (void)sim::run_campaign(spec, opts);
-      }
-      ::_exit(0);
-    }
-    workers.push_back(pid);
-  }
-  for (const pid_t pid : workers) wait_ok(pid);
-
-  // Every shard journal exists exactly once and merges byte-exactly.
-  const std::vector<std::string> found = sim::discover_shard_journals(
-      base + "." + spec.name + ".journal");
-  EXPECT_EQ(found.size(), kShards);
-  EXPECT_EQ(merge_json(spec, base, "queue.json"), reference);
-}
-
-TEST_F(DistributedCampaignTest, LeaseTakeoverFleetRecoversByteExactly) {
-  // The full fault-tolerance story with real processes: a 4-worker fleet
-  // drains a 3-shard queue, one worker is SIGKILLed mid-shard while
-  // HOLDING a lease, and the fleet recovers on its own -- the stale
-  // lease lapses, a healthy worker reclaims the shard, resumes its
-  // journal, and the merge is byte-identical to the 1-process run.
-  const sim::ExperimentSpec spec = fig16_like_spec();
-  const std::string reference = reference_json(spec);
-  const std::string base = dir_ + "/fleet";
-  const std::string qdir = dir_ + "/fleetq";
-  constexpr std::size_t kShards = 3;
-  sim::ShardQueue::init(qdir, kShards);
-
-  sim::LeaseOptions lease;
-  lease.ttl_s = 0.25;  // + grace ttl/4: stale ~310ms after the kill
-
-  // The victim claims first (lowest index: shard 0, trials {0, 3}),
-  // checkpoints trial 0, then SIGKILLs itself entering trial 3 with the
-  // lease still held. SIGKILL skips destructors: no complete(), no
-  // requeue -- exactly what a powered-off machine leaves behind.
-  sim::ExperimentSpec dying = spec;
-  const auto base_customize = spec.customize;
-  dying.customize = [base_customize](const sim::TrialContext& ctx,
-                                     sim::ScenarioSpec& s,
-                                     sim::ControllerSpec& c,
-                                     sim::RunConfig& r) {
-    base_customize(ctx, s, c, r);
-    if (ctx.index == 3) (void)::raise(SIGKILL);
-  };
-  const pid_t victim = ::fork();
-  ASSERT_NE(victim, -1);
-  if (victim == 0) {
-    const auto plan = sim::ShardQueue::claim(qdir, lease);
-    if (!plan.has_value()) ::_exit(3);
-    sim::ShardLeaseKeeper keeper(qdir, *plan, lease);
-    sim::SweepCliOptions opts;
-    opts.resume = base;
-    opts.shard = *plan;
-    opts.freeze_timing = true;
-    (void)sim::run_campaign(dying, opts);
-    ::_exit(0);
-  }
-  int status = 0;
-  ASSERT_EQ(::waitpid(victim, &status, 0), victim);
-  ASSERT_TRUE(WIFSIGNALED(status));
-  ASSERT_EQ(WTERMSIG(status), SIGKILL);
-  // The kill left the shard leased, not done.
-  EXPECT_EQ(sim::ShardQueue::counts(qdir).claimed, 1u);
-
-  // A 4-worker recovery fleet drains the queue. Workers do not stop at
-  // the first empty claim: a leased shard may still lapse, so they spin
-  // until every shard is done (the fleet-drain loop from the README).
-  std::vector<pid_t> workers;
-  for (int w = 0; w < 4; ++w) {
-    const pid_t pid = ::fork();
-    ASSERT_NE(pid, -1);
-    if (pid == 0) {
-      for (;;) {
-        const auto plan = sim::ShardQueue::claim(qdir, lease);
-        if (!plan.has_value()) {
-          const auto c = sim::ShardQueue::counts(qdir);
-          if (c.todo == 0 && c.claimed == 0) break;
-          std::this_thread::sleep_for(std::chrono::milliseconds(20));
-          continue;
-        }
-        sim::ShardLeaseKeeper keeper(qdir, *plan, lease);
-        sim::SweepCliOptions opts;
-        opts.resume = base;
-        opts.shard = *plan;
-        opts.freeze_timing = true;
-        (void)sim::run_campaign(spec, opts);
-      }
-      ::_exit(0);
-    }
-    workers.push_back(pid);
-  }
-  for (const pid_t pid : workers) wait_ok(pid);
-
-  // Every shard was retired exactly once, the victim's journal was
-  // resumed (trial 0 kept, trial 3 re-run) and sealed by its reclaimer.
-  const auto counts = sim::ShardQueue::counts(qdir);
-  EXPECT_EQ(counts.todo, 0u);
-  EXPECT_EQ(counts.claimed, 0u);
-  EXPECT_EQ(counts.done, kShards);
-  const sim::LoadedJournal shard0 = sim::read_journal_file(
-      base + "." + spec.name + ".shard-0-of-3.journal");
-  EXPECT_EQ(shard0.trials.size(), 2u);
-  EXPECT_TRUE(shard0.seal_intact());
-
-  EXPECT_EQ(merge_json(spec, base, "fleet.json"), reference)
-      << "lease takeover + resume + merge must reproduce the 1-process "
-         "bytes";
-}
-
-TEST_F(DistributedCampaignTest, ConcurrentWatchMergeIsByteIdentical) {
-  // --merge --watch running WHILE the fleet writes: the watcher starts
-  // before any shard journal exists, tolerates partially-written files,
-  // and finalizes only when all shards carry intact seals. Its JSON must
-  // be byte-identical to the 1-process run.
-  const sim::ExperimentSpec spec = fig16_like_spec();
-  const std::string reference = reference_json(spec);
-  const std::string base = dir_ + "/cw";
-
-  const pid_t watcher = ::fork();
-  ASSERT_NE(watcher, -1);
-  if (watcher == 0) {
-    sim::SweepCliOptions opts;
-    opts.merge = base;
-    opts.watch = true;
-    opts.json_out = dir_ + "/cw.json";
-    opts.freeze_timing = true;
-    (void)sim::run_campaign(spec, opts);
-    ::_exit(0);
-  }
-
-  std::vector<pid_t> workers;
-  for (std::size_t i = 0; i < 3; ++i) {
-    workers.push_back(fork_worker(spec, base, {i, 3}));
-    ASSERT_NE(workers.back(), -1);
-  }
-  for (const pid_t pid : workers) wait_ok(pid);
-  wait_ok(watcher);  // finalized on its own once the last seal landed
-  EXPECT_EQ(read_all(dir_ + "/cw.json"), reference);
-}
-
-TEST_F(DistributedCampaignTest, WatchMergeWaitsOutAHalfCopiedJournal) {
-  // Shard journals are rsync'd to the merge host, and the watcher
-  // observes one mid-copy: complete header, torn record, no seal. It
-  // must keep waiting (never merge the torn prefix, never reject it as
-  // damage) until the full sealed file lands, then finalize byte-exactly.
-  const sim::ExperimentSpec spec = fig16_like_spec();
-  const std::string reference = reference_json(spec);
-
-  // The fleet ran to completion elsewhere (in-process here: the forked
-  // fleet path is covered above).
-  const std::string src = dir_ + "/src";
-  for (std::size_t i = 0; i < 2; ++i) {
-    sim::SweepCliOptions opts;
-    opts.resume = src;
-    opts.shard = sim::ShardPlan{i, 2};
-    opts.freeze_timing = true;
-    (void)sim::run_campaign(spec, opts);
-  }
-  const std::string src0 = src + "." + spec.name + ".shard-0-of-2.journal";
-  const std::string src1 = src + "." + spec.name + ".shard-1-of-2.journal";
-  const std::string full0 = read_all(src0);
-
-  // "rsync" to the merge host's landing directory: shard 1 arrived
-  // whole, shard 0 is caught mid-transfer (header plus a torn record).
-  const std::string land = dir_ + "/land";
-  std::filesystem::create_directory(land);
-  const std::string dst_base = land + "/copy";
-  const std::string dst0 =
-      dst_base + "." + spec.name + ".shard-0-of-2.journal";
-  {
-    std::ofstream out(dst_base + "." + spec.name + ".shard-1-of-2.journal",
-                      std::ios::binary);
-    out << read_all(src1);
-  }
-  const std::size_t header_end = full0.find('\n') + 1;
-  ASSERT_GT(header_end, 1u);
-  {
-    std::ofstream out(dst0, std::ios::binary);
-    out << full0.substr(0, header_end + (full0.size() - header_end) / 2);
-  }
-
-  const pid_t watcher = ::fork();
-  ASSERT_NE(watcher, -1);
-  if (watcher == 0) {
-    sim::SweepCliOptions opts;
-    opts.merge = dst_base;
-    opts.watch = true;
-    opts.json_out = dir_ + "/land.json";
-    opts.freeze_timing = true;
-    (void)sim::run_campaign(spec, opts);
-    ::_exit(0);
-  }
-
-  // Give the watcher time to observe (and correctly wait out) the torn
-  // copy, then let the transfer finish the way rsync does: write the
-  // whole file aside and rename it into place.
-  std::this_thread::sleep_for(std::chrono::milliseconds(500));
-  {
-    std::ofstream out(dst0 + ".partial", std::ios::binary);
-    out << full0;
-  }
-  ASSERT_EQ(std::rename((dst0 + ".partial").c_str(), dst0.c_str()), 0);
-
-  wait_ok(watcher);
-  EXPECT_EQ(read_all(dir_ + "/land.json"), reference);
 }
 
 TEST_F(DistributedCampaignTest, ReportHookPrintsTheFigureOnlyInAPlainRun) {

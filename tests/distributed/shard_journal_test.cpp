@@ -404,38 +404,6 @@ TEST_F(ShardJournalTest, TruncationAtARecordBoundaryIsCaughtBySeal) {
   }
 }
 
-TEST_F(ShardJournalTest, WatchThrowsOnASealThatDisownsItsRecords) {
-  // --merge --watch on a shard set whose sealed journal lost a record:
-  // the re-read confirms the damage, and the watcher raises the typed
-  // error naming the file instead of waiting or merging.
-  const CampaignKey key = demo_key();
-  const std::string a = write_sealed_shard(dir_, key, ShardPlan{0, 2});
-  (void)write_sealed_shard(dir_, key, ShardPlan{1, 2});
-  const std::string original = read_all(a);
-  const std::size_t seal_start =
-      original.rfind("{\"campaign_seal\"", original.size() - 2);
-  ASSERT_NE(seal_start, std::string::npos);
-  const std::size_t last_record_start =
-      original.rfind('\n', seal_start - 2) + 1;
-  {
-    std::ofstream out(a, std::ios::binary | std::ios::trunc);
-    out << original.substr(0, last_record_start)
-        << original.substr(seal_start);
-  }
-  try {
-    (void)watch_shard_journals(journal_path(dir_ + "/base", key.name),
-                               key.name, 0.01);
-    FAIL() << "watch accepted a journal whose seal disowns its records";
-  } catch (const JournalMismatchError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("watch: shard journal '" + a + "'"),
-              std::string::npos)
-        << what;
-    EXPECT_NE(what.find("does not match its records"), std::string::npos)
-        << what;
-  }
-}
-
 TEST_F(ShardJournalTest, JournalPathsFollowTheDiscoveredFormat) {
   const ShardPlan plan{1, 3};
   EXPECT_EQ(shard_journal_path("/tmp/ckpt", "fig16_blockage", plan),

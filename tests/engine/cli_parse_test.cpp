@@ -178,6 +178,16 @@ TEST(SweepCliDeathTest, MissingValueExits2) {
 TEST(SweepCliDeathTest, UnknownFlagExits2) {
   EXPECT_EXIT(run_cli({"prog", "--frobnicate"}),
               ::testing::ExitedWithCode(2), "unknown argument");
+  // Spellings of the retired multi-process fleet fail loudly too.
+  EXPECT_EXIT(run_cli({"prog", "--resume", "/tmp/b", "--shard-queue",
+                       "/tmp/q"}),
+              ::testing::ExitedWithCode(2), "unknown argument: --shard-queue");
+  EXPECT_EXIT(run_cli({"prog", "--shards", "3"}),
+              ::testing::ExitedWithCode(2), "unknown argument: --shards");
+  EXPECT_EXIT(run_cli({"prog", "--lease-ttl-s", "5"}),
+              ::testing::ExitedWithCode(2), "unknown argument: --lease-ttl-s");
+  EXPECT_EXIT(run_cli({"prog", "--merge", "/tmp/b", "--watch"}),
+              ::testing::ExitedWithCode(2), "unknown argument: --watch");
 }
 
 TEST(SweepCliDeathTest, ListExits0AndPrintsRegistries) {
@@ -216,24 +226,6 @@ TEST(SweepCliDeathTest, MalformedShardSpecExits2) {
 TEST(SweepCliDeathTest, ShardWithoutResumeExits2) {
   EXPECT_EXIT(run_cli({"prog", "--shard", "0/2"}),
               ::testing::ExitedWithCode(2), "--resume");
-}
-
-TEST(SweepCliDeathTest, ShardCombinedWithQueueExits2) {
-  EXPECT_EXIT(run_cli({"prog", "--resume", "/tmp/b", "--shard", "0/2",
-                       "--shard-queue", "/tmp/q"}),
-              ::testing::ExitedWithCode(2), "--shard-queue");
-}
-
-TEST(SweepCliDeathTest, ShardsWithoutQueueExits2) {
-  EXPECT_EXIT(run_cli({"prog", "--resume", "/tmp/b", "--shards", "3"}),
-              ::testing::ExitedWithCode(2),
-              "--shards requires --shard-queue");
-}
-
-TEST(SweepCliDeathTest, ZeroShardsExits2) {
-  EXPECT_EXIT(run_cli({"prog", "--resume", "/tmp/b", "--shard-queue",
-                       "/tmp/q", "--shards", "0"}),
-              ::testing::ExitedWithCode(2), "--shards");
 }
 
 TEST(SweepCliDeathTest, MergeCombinedWithWorkerFlagsExits2) {

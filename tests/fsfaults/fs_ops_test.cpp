@@ -139,14 +139,5 @@ TEST_F(FsOpsFaultTest, EnospcOnWriteIsTypedAndNamesThePath) {
   EXPECT_TRUE(fsfaults::script().slept.empty());
 }
 
-TEST_F(FsOpsFaultTest, RenameIfExistsReportsEnoentAsFalseNotError) {
-  fsfaults::ScopedFaults faults;
-  EXPECT_FALSE(fsio::rename_if_exists(dir_ + "/missing", dir_ + "/target"));
-  std::ofstream(dir_ + "/src") << "x";
-  fsfaults::script().fail_rename = 2;
-  EXPECT_TRUE(fsio::rename_if_exists(dir_ + "/src", dir_ + "/target"));
-  EXPECT_EQ(fsfaults::script().slept.size(), 2u);
-}
-
 }  // namespace
 }  // namespace mmr
