@@ -23,8 +23,8 @@
 // 1-cell/1-UE run is byte-comparable to the engine path. --controller
 // narrows the sweep to one scheme; --scenario swaps the crowd template
 // (default indoor_crowd). The network campaign keeps no trial journal, so
-// --resume, --trial-retries, --trial-timeout-s, --shard and --merge exit 2
-// instead of being ignored.
+// --resume, --trial-retries, --shard and --merge exit 2 instead of being
+// ignored.
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -110,8 +110,7 @@ int main(int argc, char** argv) {
   sim::reject_flags(
       opts,
       {sim::CampaignFlag::kResume, sim::CampaignFlag::kTrialRetries,
-       sim::CampaignFlag::kTrialTimeout, sim::CampaignFlag::kShard,
-       sim::CampaignFlag::kMerge},
+       sim::CampaignFlag::kShard, sim::CampaignFlag::kMerge},
       argv[0], "the network campaign");
   const std::size_t trials = opts.trials > 0 ? opts.trials : 10;
   const std::uint64_t seed = opts.seed > 0 ? opts.seed : 21;

@@ -30,8 +30,8 @@
 //
 // --seed/--jobs/--controller/--scenario/--freeze-timing/--json-out come
 // from the shared CLI; the service runs no trial campaign, so --trials,
-// --faults, --resume, --trial-retries, --trial-timeout-s, --shard and
-// --merge exit 2 instead of being ignored. With --freeze-timing the
+// --faults, --resume, --trial-retries, --shard and --merge exit 2
+// instead of being ignored. With --freeze-timing the
 // ENTIRE JSON stream is byte-identical across --jobs values (the
 // determinism contract pinned by tests/streaming): the {"rss": ...}
 // lines are suppressed and the summary's rss fields zeroed, because RSS
@@ -196,8 +196,7 @@ int main(int argc, char** argv) {
       opts,
       {sim::CampaignFlag::kTrials, sim::CampaignFlag::kFaults,
        sim::CampaignFlag::kResume, sim::CampaignFlag::kTrialRetries,
-       sim::CampaignFlag::kTrialTimeout, sim::CampaignFlag::kShard,
-       sim::CampaignFlag::kMerge},
+       sim::CampaignFlag::kShard, sim::CampaignFlag::kMerge},
       argv[0], "the streaming service");
 
   sim::StreamingSpec spec;

@@ -33,23 +33,6 @@ dsp::CplxBatch steering_vector_batch(const Ula& ula, const RVec& phis_rad) {
   return batch;
 }
 
-dsp::CplxBatch steering_vector_wideband_batch(const Ula& ula, double phi_rad,
-                                              double carrier_hz,
-                                              const RVec& freq_offsets_hz) {
-  MMR_EXPECTS(carrier_hz > 0.0);
-  dsp::CplxBatch batch(freq_offsets_hz.size(), ula.num_elements);
-  for (std::size_t r = 0; r < freq_offsets_hz.size(); ++r) {
-    // Same electrical-length scaling as steering_vector_wideband.
-    const double scale = (carrier_hz + freq_offsets_hz[r]) / carrier_hz;
-    Ula scaled = ula;
-    scaled.spacing_wavelengths = ula.spacing_wavelengths * scale;
-    MMR_EXPECTS(scaled.spacing_wavelengths > 0.0);
-    dsp::phasor_ramp(steering_phase_step(scaled, phi_rad), ula.num_elements,
-                     batch.row_re(r), batch.row_im(r));
-  }
-  return batch;
-}
-
 CVec array_factor_batch(const Ula& ula, const CVec& weights,
                         const RVec& phis_rad) {
   MMR_EXPECTS(weights.size() == ula.num_elements);
@@ -77,27 +60,6 @@ RVec power_gain_db_batch(const Ula& ula, const CVec& weights,
                      scratch.data());
     const cplx af = dsp::cdot(scratch.data(), weights.data(), weights.size());
     out[r] = to_db(std::norm(af));
-  }
-  return out;
-}
-
-std::vector<CVec> single_beam_weights_batch(const Ula& ula,
-                                            const RVec& phis_rad) {
-  MMR_EXPECTS(ula.num_elements >= 1);
-  MMR_EXPECTS(ula.spacing_wavelengths > 0.0);
-  const double inv_sqrt_n =
-      1.0 / std::sqrt(static_cast<double>(ula.num_elements));
-  std::vector<CVec> out;
-  out.reserve(phis_rad.size());
-  for (double phi : phis_rad) {
-    const double step = steering_phase_step(ula, phi);
-    CVec w(ula.num_elements);
-    // Fused conj(a(phi)) / sqrt(N): same per-element ops as
-    // single_beam_weights, minus the steering-vector temporary.
-    for (std::size_t n = 0; n < w.size(); ++n) {
-      w[n] = std::conj(dsp::unit_phasor(step, n)) * inv_sqrt_n;
-    }
-    out.push_back(std::move(w));
   }
   return out;
 }

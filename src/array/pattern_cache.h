@@ -1,9 +1,9 @@
 // Batched beamforming evaluation + a process-wide memoizing pattern cache.
 //
-// Batched API: steering vectors / array factors / matched weights over
-// whole angle or subcarrier grids in one call, backed by the dsp::kernels
-// primitives (single contiguous SoA allocation, fused inner products, no
-// per-angle temporaries). Results are bit-identical to the scalar
+// Batched API: steering vectors / array factors / power gains over whole
+// angle grids in one call, backed by the dsp::kernels primitives (single
+// contiguous SoA allocation, fused inner products, no per-angle
+// temporaries). Results are bit-identical to the scalar
 // functions in geometry.h / pattern.h — same per-element ops, same order.
 //
 // PatternCache: parallel sweep workers re-derive the same single-beam
@@ -45,12 +45,6 @@ namespace mmr::array {
 /// cols = elements), one contiguous SoA allocation.
 dsp::CplxBatch steering_vector_batch(const Ula& ula, const RVec& phis_rad);
 
-/// Wideband steering a(phi) at every subcarrier offset (rows = offsets):
-/// the beam-squint family steering_vector_wideband evaluates one at a time.
-dsp::CplxBatch steering_vector_wideband_batch(const Ula& ula, double phi_rad,
-                                              double carrier_hz,
-                                              const RVec& freq_offsets_hz);
-
 /// Array factors a(phi_r)^T w over an angle grid, fused — no steering
 /// vectors are materialized.
 CVec array_factor_batch(const Ula& ula, const CVec& weights,
@@ -60,10 +54,6 @@ CVec array_factor_batch(const Ula& ula, const CVec& weights,
 /// inner loop).
 RVec power_gain_db_batch(const Ula& ula, const CVec& weights,
                          const RVec& phis_rad);
-
-/// Matched single-beam weights for every angle in `phis_rad`.
-std::vector<CVec> single_beam_weights_batch(const Ula& ula,
-                                            const RVec& phis_rad);
 
 /// Process-wide memoization of pure beamforming derivations, shared by all
 /// sweep workers. Thread-safe via sharded mutexes; values are immutable

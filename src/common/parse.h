@@ -41,7 +41,7 @@ inline bool parse_size(const char* text, std::size_t& out) {
   return true;
 }
 
-/// Parse `text` as a non-negative finite base-10 double (e.g. a timeout in
+/// Parse `text` as a non-negative finite base-10 double (e.g. a duration in
 /// seconds). Same strictness contract as parse_u64: the ENTIRE string must
 /// be the number -- no sign, no whitespace, no trailing characters, no
 /// inf/nan, no hex floats. The decimal separator is ALWAYS '.', whatever

@@ -55,14 +55,4 @@ void interferer_gain_batch_into(const array::Ula& ula, const CVec& weights,
   }
 }
 
-RVec interferer_gain_batch(const array::Ula& ula, const CVec& weights,
-                           const RVec& victim_angles_rad,
-                           const RVec& distances_m, double carrier_hz,
-                           double coupling_loss_db) {
-  RVec out(victim_angles_rad.size());
-  interferer_gain_batch_into(ula, weights, victim_angles_rad, distances_m,
-                             carrier_hz, coupling_loss_db, out);
-  return out;
-}
-
 }  // namespace mmr::net

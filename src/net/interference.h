@@ -55,13 +55,6 @@ void interferer_gain_batch_into(const array::Ula& ula, const CVec& weights,
                                 double carrier_hz, double coupling_loss_db,
                                 std::span<double> out);
 
-/// Batched variant over many victims (one entry per angle/distance pair).
-/// Allocating convenience wrapper over interferer_gain_batch_into.
-RVec interferer_gain_batch(const array::Ula& ula, const CVec& weights,
-                           const RVec& victim_angles_rad,
-                           const RVec& distances_m, double carrier_hz,
-                           double coupling_loss_db = 0.0);
-
 /// SINR_dB = SNR_dB - 10 log10(1 + INR) (phy/link_budget.h); the victim
 /// fold sim::LinkSession::score applies.
 using phy::sinr_db;

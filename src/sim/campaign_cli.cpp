@@ -250,26 +250,23 @@ SweepCliOptions parse_sweep_cli(int argc, char** argv,
     } else if (const char* v9 = flag_value(i, argc, argv, "--trial-retries")) {
       opts.trial_retries = require_size("--trial-retries", v9, prog);
     } else if (const char* v10 =
-                   flag_value(i, argc, argv, "--trial-timeout-s")) {
-      opts.trial_timeout_s = require_f64("--trial-timeout-s", v10, prog);
-    } else if (const char* v11 =
                    flag_value(i, argc, argv, "--kernel-backend")) {
-      opts.kernel_backend = v11;
+      opts.kernel_backend = v10;
       // Validated AND applied eagerly: the backend switch is process
       // global and must land before any sweep warms kernel caches.
       apply_kernel_backend(opts.kernel_backend, prog);
-    } else if (const char* v12 = flag_value(i, argc, argv, "--shard")) {
-      const std::optional<ShardPlan> plan = ShardPlan::parse(v12);
+    } else if (const char* v11 = flag_value(i, argc, argv, "--shard")) {
+      const std::optional<ShardPlan> plan = ShardPlan::parse(v11);
       if (!plan.has_value()) {
         std::fprintf(stderr,
                      "%s: invalid value for --shard: '%s' (expected I/N "
                      "with base-10 I < N, e.g. 0/3)\n",
-                     prog, v12);
+                     prog, v11);
         std::exit(2);
       }
       opts.shard = *plan;
-    } else if (const char* v13 = flag_value(i, argc, argv, "--merge")) {
-      opts.merge = v13;
+    } else if (const char* v12 = flag_value(i, argc, argv, "--merge")) {
+      opts.merge = v12;
       if (opts.merge.empty()) {
         std::fprintf(stderr, "%s: --merge needs a journal base path\n", prog);
         std::exit(2);
@@ -281,8 +278,7 @@ SweepCliOptions parse_sweep_cli(int argc, char** argv,
                    "          [--faults NAME] [--kernel-backend B]\n"
                    "          [--json-out FILE]\n"
                    "          [--resume BASE] [--trial-retries N]\n"
-                   "          [--trial-timeout-s X] [--freeze-timing]\n"
-                   "          [--shard I/N] [--merge BASE]\n"
+                   "          [--freeze-timing] [--shard I/N] [--merge BASE]\n"
                    "          [--list]%s%s\n"
                    "unknown argument: %s\n",
                    prog, extra_usage != nullptr ? "\n" : "",
@@ -320,8 +316,6 @@ void reject_flags(const SweepCliOptions& opts,
       {CampaignFlag::kFaults, "--faults", !opts.faults.empty()},
       {CampaignFlag::kResume, "--resume", !opts.resume.empty()},
       {CampaignFlag::kTrialRetries, "--trial-retries", opts.trial_retries > 0},
-      {CampaignFlag::kTrialTimeout, "--trial-timeout-s",
-       opts.trial_timeout_s > 0.0},
       {CampaignFlag::kShard, "--shard", opts.shard.enabled()},
       {CampaignFlag::kMerge, "--merge", !opts.merge.empty()},
   };
@@ -348,7 +342,6 @@ EngineResult run_campaign(ExperimentSpec spec, const SweepCliOptions& opts) {
   apply_cli(opts, spec);
   EngineOptions eng_opts;
   eng_opts.trial_retries = opts.trial_retries;
-  eng_opts.trial_timeout_s = opts.trial_timeout_s;
   eng_opts.freeze_timing = opts.freeze_timing;
   // Distributed roles journal every trial, and journals cannot replay
   // per-tick samples. Dropping them does not change the JSON record

@@ -42,9 +42,6 @@
 //                      quarantining it; a quarantined trial keeps its slot
 //                      but is excluded from aggregates and reported under
 //                      "failures" instead of aborting the sweep.
-//   --trial-timeout-s X  wall-clock watchdog: warn on stderr and flag any
-//                      trial that runs longer than X seconds (flagged,
-//                      not killed; 0 = off).
 //   --freeze-timing    zero all wall/cpu timing fields in the JSON record
 //                      so output is a pure function of (spec, seed) --
 //                      for byte-diffing runs (crash/resume tests, CI).
@@ -104,7 +101,6 @@ struct SweepCliOptions {
   std::string json_out;     ///< empty = stdout only
   std::string resume;       ///< journal base path; empty = no checkpoints
   std::size_t trial_retries = 0;
-  double trial_timeout_s = 0.0;  ///< 0 = watchdog off
   bool freeze_timing = false;
   ShardPlan shard;          ///< --shard I/N; disabled = not a shard worker
   std::string merge;        ///< --merge BASE; empty = no merge
@@ -145,7 +141,6 @@ enum class CampaignFlag {
   kFaults,        ///< --faults
   kResume,        ///< --resume
   kTrialRetries,  ///< --trial-retries
-  kTrialTimeout,  ///< --trial-timeout-s
   kShard,         ///< --shard
   kMerge,         ///< --merge
 };
@@ -188,7 +183,7 @@ void apply_cli(const SweepCliOptions& opts, ExperimentSpec& spec);
 /// --merge BASE: discover + validate the campaign's shard journals, write
 /// the merged unsharded journal, then replay it through the engine --
 /// journaled trials restore bit-exactly, missing ones re-run live under
-/// the same retry/timeout flags (deterministic failures re-quarantine
+/// the same retry flag (deterministic failures re-quarantine
 /// identically). Invalid shard sets exit(2) naming the offending field.
 EngineResult run_campaign(ExperimentSpec spec, const SweepCliOptions& opts);
 

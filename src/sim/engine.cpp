@@ -1,15 +1,10 @@
 #include "sim/engine.h"
 
 #include <chrono>
-#include <condition_variable>
-#include <cstdio>
 #include <map>
 #include <memory>
-#include <mutex>
-#include <set>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "baselines/oracle.h"
@@ -149,86 +144,6 @@ void register_builtin_controllers(ControllerRegistry& reg) {
   });
 }
 
-// Wall-clock watchdog for --trial-timeout-s. Trials register a deadline
-// when they start and deregister on completion; a monitor thread warns on
-// stderr the moment a deadline passes and remembers the index so the
-// engine can attach a timed_out TrialFailure afterwards. The watchdog
-// never kills a trial -- there is no safe way to cancel an arbitrary
-// in-process computation -- it makes hangs observable and attributable.
-class TrialWatchdog {
- public:
-  explicit TrialWatchdog(double timeout_s) : timeout_s_(timeout_s) {
-    if (enabled()) thread_ = std::thread([this] { loop(); });
-  }
-
-  ~TrialWatchdog() {
-    if (!enabled()) return;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    thread_.join();
-  }
-
-  bool enabled() const { return timeout_s_ > 0.0; }
-
-  void begin(std::size_t index) {
-    if (!enabled()) return;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      deadlines_[index] = std::chrono::steady_clock::now() +
-                          std::chrono::duration_cast<
-                              std::chrono::steady_clock::duration>(
-                              std::chrono::duration<double>(timeout_s_));
-    }
-    cv_.notify_all();
-  }
-
-  void end(std::size_t index) {
-    if (!enabled()) return;
-    std::lock_guard<std::mutex> lock(mutex_);
-    deadlines_.erase(index);
-  }
-
-  /// Indices whose deadline passed (call after the sweep barrier).
-  std::set<std::size_t> flagged() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return flagged_;
-  }
-
- private:
-  void loop() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    while (!stop_) {
-      const auto now = std::chrono::steady_clock::now();
-      auto next = now + std::chrono::hours(24);
-      for (auto it = deadlines_.begin(); it != deadlines_.end();) {
-        if (it->second <= now) {
-          flagged_.insert(it->first);
-          std::fprintf(stderr,
-                       "mmr watchdog: trial %zu exceeded the %.3f s "
-                       "trial timeout and is still running\n",
-                       it->first, timeout_s_);
-          it = deadlines_.erase(it);  // warn once per trial
-        } else {
-          next = std::min(next, it->second);
-          ++it;
-        }
-      }
-      cv_.wait_until(lock, next);
-    }
-  }
-
-  const double timeout_s_;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  std::map<std::size_t, std::chrono::steady_clock::time_point> deadlines_;
-  std::set<std::size_t> flagged_;
-  bool stop_ = false;
-  std::thread thread_;
-};
-
 }  // namespace
 
 bool is_outdoor_scenario(const ScenarioSpec& spec) {
@@ -325,7 +240,6 @@ EngineResult Engine::run(const ExperimentSpec& spec, TelemetrySink* sink) {
 EngineResult Engine::run(const ExperimentSpec& spec, TelemetrySink* sink,
                          const EngineOptions& options) {
   MMR_EXPECTS(spec.trials >= 1);
-  MMR_EXPECTS(options.trial_timeout_s >= 0.0);
   // Journal replay restores summaries/faults/labels but not per-tick
   // sample series; campaigns that need samples cannot resume.
   MMR_EXPECTS(options.journal == nullptr || !spec.record_samples);
@@ -357,7 +271,6 @@ EngineResult Engine::run(const ExperimentSpec& spec, TelemetrySink* sink,
   std::vector<std::unique_ptr<TrialFailure>> failure_slots(spec.trials);
   const std::map<std::size_t, JournalTrial>* journaled =
       options.journal != nullptr ? &options.journal->completed() : nullptr;
-  TrialWatchdog watchdog(options.trial_timeout_s);
 
   SweepRunner runner({spec.trials, spec.jobs, spec.seed});
   // Trials only write to index-addressed slots; see sim/sweep.h for the
@@ -392,7 +305,6 @@ EngineResult Engine::run(const ExperimentSpec& spec, TelemetrySink* sink,
     // between retry attempts (a retried trial reuses the same chunks and
     // stays bit-identical -- pinned by the props tier).
     TrialWorkspace workspace;
-    watchdog.begin(ctx.index);
     for (std::size_t attempt = 0; attempt < max_attempts && !succeeded;
          ++attempt) {
       workspace.reset();
@@ -434,7 +346,6 @@ EngineResult Engine::run(const ExperimentSpec& spec, TelemetrySink* sink,
         last_error = "unknown exception";
       }
     }
-    watchdog.end(ctx.index);
     if (!succeeded) {
       // Quarantine: the trial keeps its slot (default summary), the sweep
       // keeps running, and the failure is reported out-of-band.
@@ -487,18 +398,6 @@ EngineResult Engine::run(const ExperimentSpec& spec, TelemetrySink* sink,
     }
   }
 
-  // Fold watchdog flags into the failure slots: a flagged trial that
-  // completed anyway gets a timing-only TrialFailure (empty error).
-  for (std::size_t index : watchdog.flagged()) {
-    if (failure_slots[index] == nullptr) {
-      failure_slots[index] = std::make_unique<TrialFailure>();
-      failure_slots[index]->index = index;
-      failure_slots[index]->stream_seed =
-          Rng::derive_stream_seed(spec.seed, index);
-      failure_slots[index]->attempts = 1 + options.trial_retries;
-    }
-    failure_slots[index]->timed_out = true;
-  }
   for (auto& slot : failure_slots) {
     if (slot != nullptr) result.failures.push_back(std::move(*slot));
   }
@@ -507,24 +406,7 @@ EngineResult Engine::run(const ExperimentSpec& spec, TelemetrySink* sink,
 
   // Quarantined trials carry default summaries; keep them out of the
   // aggregate so one bad trial cannot poison the campaign statistics.
-  bool any_quarantined = false;
-  for (const TrialFailure& f : result.failures) {
-    any_quarantined = any_quarantined || f.quarantined();
-  }
-  if (!any_quarantined) {
-    result.aggregate = summarize_sweep(result.trials);
-  } else {
-    std::vector<SweepTrial<core::LinkSummary>> survivors;
-    std::vector<bool> quarantined(result.trials.size(), false);
-    for (const TrialFailure& f : result.failures) {
-      if (f.quarantined()) quarantined[f.index] = true;
-    }
-    for (std::size_t i = 0; i < result.trials.size(); ++i) {
-      if (!quarantined[i]) survivors.push_back(result.trials[i]);
-    }
-    result.aggregate =
-        survivors.empty() ? SweepSummary{} : summarize_sweep(survivors);
-  }
+  result.aggregate = summarize_survivors(result.trials, result.failures);
 
   if (sink != nullptr) {
     std::size_t next_failure = 0;

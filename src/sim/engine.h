@@ -176,8 +176,8 @@ struct ExperimentSpec {
 };
 
 /// Durable-execution knobs for Engine::run. The defaults reproduce the
-/// plain (non-durable) engine exactly: no journal, a throwing trial
-/// aborts the sweep, no watchdog, live timing.
+/// plain (non-durable) engine exactly: no journal, a throwing trial is
+/// quarantined after one attempt, live timing.
 struct EngineOptions {
   /// Checkpoint journal (sim/journal.h). Trials found in
   /// journal->completed() are REPLAYED -- summary, wall/cpu time, label,
@@ -194,11 +194,6 @@ struct EngineOptions {
   /// as a TrialFailure in the result / telemetry / sweep JSON instead of
   /// killing the sweep.
   std::size_t trial_retries = 0;
-  /// Wall-clock watchdog [s]; 0 disables. A trial running longer is
-  /// flagged (stderr warning from the watchdog thread the moment the
-  /// deadline passes, plus a timed_out TrialFailure entry) but NOT
-  /// killed: results of late trials are kept.
-  double trial_timeout_s = 0.0;
   /// Zero every timing field (per-trial wall/cpu, sweep wall /
   /// serial-equivalent) so the JSON record is a pure function of
   /// (spec, seed) -- the mode the crash/resume byte-identity tests and
@@ -226,8 +221,8 @@ struct EngineResult {
   std::vector<std::vector<core::FaultEvent>> fault_events;
   /// Per-trial labels; empty unless spec.label is set.
   std::vector<std::string> labels;
-  /// Quarantined / watchdog-flagged trials in index order (durable mode
-  /// only; empty means every trial succeeded in time).
+  /// Quarantined trials in index order (empty means every trial
+  /// succeeded).
   std::vector<TrialFailure> failures;
   /// Trials replayed from the journal instead of executed.
   std::size_t replayed_trials = 0;
@@ -244,7 +239,7 @@ class Engine {
   /// Run the campaign. When `sink` is non-null it receives, after the
   /// sweep barrier and in trial-index order: per-trial run events
   /// (on_run_begin/on_sample... when record_samples, then any on_fault
-  /// events, then on_trial_failure for a quarantined/flagged trial, then
+  /// events, then on_trial_failure for a quarantined trial, then
   /// on_run_end) followed by one on_sweep record.
   ///
   /// Fault seeding: a live spec.run.faults (after `customize`) runs under
@@ -253,7 +248,7 @@ class Engine {
   EngineResult run(const ExperimentSpec& spec, TelemetrySink* sink = nullptr);
 
   /// Durable variant: checkpoint/resume via options.journal, per-trial
-  /// retry/quarantine, wall-clock watchdog, frozen timing. With
+  /// retry/quarantine, frozen timing. With
   /// default-constructed options this is exactly the plain overload.
   EngineResult run(const ExperimentSpec& spec, TelemetrySink* sink,
                    const EngineOptions& options);

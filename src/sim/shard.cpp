@@ -50,6 +50,9 @@ std::string ShardPlan::suffix() const {
 }
 
 std::optional<ShardPlan> ShardPlan::parse(const std::string& text) {
+  // parse_size reads a C string: an embedded NUL would end the number
+  // early and let trailing bytes through.
+  if (text.find('\0') != std::string::npos) return std::nullopt;
   const std::size_t slash = text.find('/');
   if (slash == std::string::npos || slash == 0 || slash + 1 >= text.size()) {
     return std::nullopt;

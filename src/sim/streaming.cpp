@@ -1,12 +1,9 @@
 #include "sim/streaming.h"
 
-#include <atomic>
+#include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <limits>
-#include <mutex>
-#include <thread>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -25,17 +22,30 @@ double wall_now_s() {
       .count();
 }
 
-/// Knuth Poisson draw by uniform products -- exact inversion is overkill
-/// for the per-tick arrival intensities (lambda << 10) churn runs at.
+/// Largest intensity one product-of-uniforms draw takes. exp(-lambda)
+/// underflows to 0 near lambda = 745, and the product loop would then run
+/// until the product itself underflows, saturating the draw there.
+inline constexpr double kMaxKnuthLambda = 500.0;
+
+/// Knuth Poisson draw by uniform products. A larger lambda is drawn as a
+/// sum of independent draws over chunks of at most kMaxKnuthLambda (a sum
+/// of independent Poissons is Poisson), so lambda <= kMaxKnuthLambda keeps
+/// the single-draw sequence.
 std::uint64_t poisson_draw(Rng& rng, double lambda) {
-  const double limit = std::exp(-lambda);
-  std::uint64_t k = 0;
-  double p = 1.0;
-  do {
-    ++k;
-    p *= rng.uniform();
-  } while (p > limit);
-  return k - 1;
+  std::uint64_t total = 0;
+  for (;;) {
+    const double chunk = std::min(lambda, kMaxKnuthLambda);
+    const double limit = std::exp(-chunk);
+    std::uint64_t k = 0;
+    double p = 1.0;
+    do {
+      ++k;
+      p *= rng.uniform();
+    } while (p > limit);
+    total += k - 1;
+    lambda -= chunk;
+    if (lambda <= 0.0) return total;
+  }
 }
 
 }  // namespace
@@ -54,7 +64,6 @@ void StreamingSpec::validate() const {
   MMR_EXPECTS(std::isfinite(duration_s) && duration_s > 0.0);
   MMR_EXPECTS(std::isfinite(snapshot_every_s) &&
               snapshot_every_s >= network.run.tick_s);
-  MMR_EXPECTS(queue_capacity >= 1);
 }
 
 /// One shard: a session table (its own interference/handover domain), a
@@ -82,72 +91,6 @@ struct StreamingService::Shard {
   AvailabilityCounter avail;
 };
 
-/// Bounded drop-oldest snapshot queue with a single drain thread. push()
-/// never blocks: a full ring sheds its OLDEST entry and bumps the
-/// dropped-count watermark. The drain thread is the only caller of the
-/// sink, preserving the one-thread-at-a-time sink contract.
-struct StreamingService::SnapshotQueue {
-  SnapshotQueue(TelemetrySink* sink, std::size_t capacity)
-      : sink_(sink), ring_(capacity) {
-    thread_ = std::thread([this] { drain_loop(); });
-  }
-  ~SnapshotQueue() { stop(); }
-
-  void push(const StreamSnapshot& snapshot) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (count_ == ring_.size()) {
-        head_ = (head_ + 1) % ring_.size();
-        --count_;
-        dropped_.fetch_add(1, std::memory_order_relaxed);
-      }
-      ring_[(head_ + count_) % ring_.size()] = snapshot;
-      ++count_;
-    }
-    cv_.notify_one();
-  }
-
-  /// Drain everything still queued, then join the thread. Idempotent.
-  void stop() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      done_ = true;
-    }
-    cv_.notify_all();
-    if (thread_.joinable()) thread_.join();
-  }
-
-  std::uint64_t dropped() const {
-    return dropped_.load(std::memory_order_relaxed);
-  }
-
- private:
-  void drain_loop() {
-    for (;;) {
-      StreamSnapshot snapshot;
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        cv_.wait(lock, [this] { return count_ > 0 || done_; });
-        if (count_ == 0) return;  // done_ and drained
-        snapshot = ring_[head_];
-        head_ = (head_ + 1) % ring_.size();
-        --count_;
-      }
-      sink_->on_snapshot(snapshot);
-    }
-  }
-
-  TelemetrySink* sink_;
-  std::vector<StreamSnapshot> ring_;
-  std::size_t head_ = 0;
-  std::size_t count_ = 0;
-  std::atomic<std::uint64_t> dropped_{0};
-  bool done_ = false;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::thread thread_;
-};
-
 StreamingService::StreamingService(const StreamingSpec& spec,
                                    TelemetrySink* sink)
     : spec_(spec), sink_(sink) {
@@ -160,10 +103,6 @@ std::size_t StreamingService::live_sessions() const {
   std::size_t live = 0;
   for (const auto& sh : shards_) live += sh->network->live_count();
   return live;
-}
-
-std::uint64_t StreamingService::dropped_snapshots() const {
-  return queue_ != nullptr ? queue_->dropped() : 0;
 }
 
 void StreamingService::begin() {
@@ -185,9 +124,6 @@ void StreamingService::begin() {
   const std::size_t jobs =
       spec_.jobs == 0 ? ThreadPool::hardware_jobs() : spec_.jobs;
   if (jobs > 1) pool_ = std::make_unique<ThreadPool>(jobs);
-  if (spec_.async_snapshots && sink_ != nullptr) {
-    queue_ = std::make_unique<SnapshotQueue>(sink_, spec_.queue_capacity);
-  }
 
   shards_.reserve(spec_.shards);
   for (std::size_t k = 0; k < spec_.shards; ++k) {
@@ -358,20 +294,10 @@ void StreamingService::emit_snapshot(double t_s) {
     s.tput_p99_bps = tput_p99.quantile();
     s.tput_p999_bps = tput_p999.quantile();
   }
-  s.dropped = dropped_snapshots();
 
   for (auto& shp : shards_) shp->avail.reset_window();
   last_snapshot_ = s;
-  deliver(s);
-}
-
-void StreamingService::deliver(const StreamSnapshot& snapshot) {
-  if (sink_ == nullptr) return;
-  if (queue_ != nullptr) {
-    queue_->push(snapshot);
-  } else {
-    sink_->on_snapshot(snapshot);
-  }
+  if (sink_ != nullptr) sink_->on_snapshot(s);
 }
 
 StreamingResult StreamingService::run() {
@@ -393,12 +319,10 @@ StreamingResult StreamingService::finish() {
   if (pending) {
     emit_snapshot(static_cast<double>(epoch_) * spec_.network.run.tick_s);
   }
-  if (queue_ != nullptr) queue_->stop();
 
   StreamingResult result;
   result.epochs = epoch_;
   result.snapshots_emitted = snapshot_index_;
-  result.snapshots_dropped = dropped_snapshots();
   for (const auto& sh : shards_) {
     result.total_joined += sh->joined;
     result.total_left += sh->left;

@@ -57,6 +57,23 @@ SweepSummary summarize_sweep(
   return out;
 }
 
+SweepSummary summarize_survivors(
+    std::span<const SweepTrial<core::LinkSummary>> trials,
+    std::span<const TrialFailure> failures) {
+  if (failures.empty()) return summarize_sweep(trials);
+  std::vector<bool> quarantined(trials.size(), false);
+  for (const TrialFailure& f : failures) {
+    MMR_EXPECTS(f.index < trials.size());
+    quarantined[f.index] = true;
+  }
+  std::vector<SweepTrial<core::LinkSummary>> survivors;
+  survivors.reserve(trials.size());
+  for (std::size_t i = 0; i < trials.size(); ++i) {
+    if (!quarantined[i]) survivors.push_back(trials[i]);
+  }
+  return survivors.empty() ? SweepSummary{} : summarize_sweep(survivors);
+}
+
 namespace {
 
 void json_kv(std::ostream& os, const char* key, double value,
@@ -88,18 +105,9 @@ void write_sweep_json(std::ostream& os, const std::string& bench_name,
                       std::span<const TrialFailure> failures) {
   MMR_EXPECTS(labels.empty() || labels.size() == trials.size());
   // Quarantined trials keep their slot but must not poison the aggregate.
+  const SweepSummary agg = summarize_survivors(trials, failures);
   std::vector<bool> quarantined(trials.size(), false);
-  for (const TrialFailure& f : failures) {
-    MMR_EXPECTS(f.index < trials.size());
-    if (f.quarantined()) quarantined[f.index] = true;
-  }
-  std::vector<SweepTrial<core::LinkSummary>> survivors;
-  if (!failures.empty()) {
-    survivors.reserve(trials.size());
-    for (std::size_t i = 0; i < trials.size(); ++i) {
-      if (!quarantined[i]) survivors.push_back(trials[i]);
-    }
-  }
+  for (const TrialFailure& f : failures) quarantined[f.index] = true;
   const auto flags = os.flags();
   const auto precision = os.precision();
   os.precision(10);
@@ -133,17 +141,11 @@ void write_sweep_json(std::ostream& os, const std::string& bench_name,
       if (i > 0) os << ", ";
       os << "{\"index\": " << f.index << ", \"stream_seed\": "
          << f.stream_seed << ", \"attempts\": " << f.attempts
-         << ", \"timed_out\": " << (f.timed_out ? "true" : "false")
-         << ", \"quarantined\": " << (f.quarantined() ? "true" : "false")
-         << ", \"error\": \"" << json_escape(f.error) << "\"}";
+         << ", \"quarantined\": true, \"error\": \""
+         << json_escape(f.error) << "\"}";
     }
     os << "], ";
   }
-  const SweepSummary agg = failures.empty()
-                               ? summarize_sweep(trials)
-                               : (survivors.empty()
-                                      ? SweepSummary{}
-                                      : summarize_sweep(survivors));
   os << "\"aggregate\": {";
   json_kv(os, "mean_reliability", agg.mean_reliability);
   json_kv(os, "median_reliability", agg.median_reliability);

@@ -147,10 +147,10 @@ class SweepRunner {
   SweepTiming timing_;
 };
 
-/// A trial that exhausted its retry budget (or tripped the wall-clock
-/// watchdog) during a durable campaign. Quarantined trials keep their slot
-/// in the sweep (with a default-constructed value) so indices stay stable,
-/// but are excluded from aggregates and reported out-of-band.
+/// A trial that exhausted its retry budget during a durable campaign: it
+/// is QUARANTINED. Quarantined trials keep their slot in the sweep (with
+/// a default-constructed value) so indices stay stable, but are excluded
+/// from aggregates and reported out-of-band.
 struct TrialFailure {
   std::size_t index = 0;
   /// The trial's deterministic Rng stream seed -- enough to re-run exactly
@@ -159,16 +159,8 @@ struct TrialFailure {
   std::uint64_t stream_seed = 0;
   /// Attempts made (1 + retries consumed).
   std::size_t attempts = 1;
-  /// what() of the last exception, empty for pure watchdog flags.
+  /// what() of the last exception.
   std::string error;
-  /// True when the wall-clock watchdog flagged the trial as exceeding
-  /// --trial-timeout-s. A flagged trial that eventually completed keeps
-  /// its value (quarantined == !error.empty()).
-  bool timed_out = false;
-
-  /// Quarantined trials failed outright; timed-out-but-completed trials
-  /// are flagged only and keep their results.
-  bool quarantined() const { return !error.empty(); }
 };
 
 /// Order-stable aggregate over a sweep of LinkSummary trials (computed by
@@ -190,13 +182,20 @@ struct SweepSummary {
 SweepSummary summarize_sweep(
     std::span<const SweepTrial<core::LinkSummary>> trials);
 
+/// summarize_sweep over the trials `failures` does not name: quarantined
+/// trials keep their slot but stay out of the aggregate. An empty
+/// SweepSummary when every trial was quarantined.
+SweepSummary summarize_survivors(
+    std::span<const SweepTrial<core::LinkSummary>> trials,
+    std::span<const TrialFailure> failures);
+
 /// Emit the bench JSON record: sweep timing (per-trial wall-clock,
 /// serial-equivalent time, speedup), per-trial LinkSummary values, and the
 /// aggregate. `labels` (optional, one per trial) tags trials with e.g. a
 /// scheme name.
 ///
-/// `failures` (optional) reports retry-exhausted / watchdog-flagged trials
-/// from a durable campaign. When non-empty, quarantined trial entries gain
+/// `failures` (optional, in index order) reports quarantined trials from
+/// a durable campaign. When non-empty, quarantined trial entries gain
 /// a `"failed": true` field, the aggregate is computed over the surviving
 /// trials only, and a trailing `"failures": [...]` array carries the
 /// details. When empty (every pre-existing caller) the emitted bytes are

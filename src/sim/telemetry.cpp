@@ -159,9 +159,8 @@ void JsonLinesSink::on_handover(const core::HandoverEvent& event) {
 void JsonLinesSink::on_trial_failure(const TrialFailure& failure) {
   os_ << "{\"trial_failure\": {\"index\": " << failure.index
       << ", \"stream_seed\": " << failure.stream_seed
-      << ", \"attempts\": " << failure.attempts << ", \"timed_out\": "
-      << (failure.timed_out ? "true" : "false") << ", \"quarantined\": "
-      << (failure.quarantined() ? "true" : "false") << ", \"error\": \""
+      << ", \"attempts\": " << failure.attempts
+      << ", \"quarantined\": true, \"error\": \""
       << escape_json(failure.error) << "\"}}\n";
   record_written();
 }

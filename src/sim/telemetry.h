@@ -31,13 +31,12 @@ struct RunConfig;
 
 /// One periodic snapshot of a live streaming run (sim/streaming.h), as
 /// delivered to TelemetrySink::on_snapshot: the merged shard accumulators
-/// projected to scalars at a snapshot boundary. POD by design -- snapshots
-/// queue by value through the backpressure buffer without allocating.
+/// projected to scalars at a snapshot boundary. POD by design -- copying
+/// one never allocates.
 struct StreamSnapshot {
   /// Shared-timeline time of the snapshot boundary [s].
   double t_s = 0.0;
-  /// Snapshot ordinal (0-based, monotonically increasing as emitted;
-  /// gaps appear only through `dropped`).
+  /// Snapshot ordinal (0-based, consecutive as emitted).
   std::uint64_t index = 0;
   /// Live sessions at the boundary and cumulative joins/leaves.
   std::uint64_t live_sessions = 0;
@@ -65,8 +64,9 @@ struct StreamSnapshot {
   double tput_p50_bps = 0.0;
   double tput_p99_bps = 0.0;
   double tput_p999_bps = 0.0;
-  /// Snapshots shed by the bounded telemetry queue so far (drop-oldest
-  /// watermark; 0 unless a sink fell behind).
+  /// Snapshots shed before delivery so far. Always 0: the service
+  /// delivers every snapshot inline. Kept so the snapshot record's fields
+  /// stay the same for consumers.
   std::uint64_t dropped = 0;
 };
 
@@ -77,8 +77,7 @@ struct SweepRecord {
   SweepTiming timing;
   /// One label per trial, or empty when the campaign does not tag trials.
   std::span<const std::string> labels;
-  /// Quarantined / watchdog-flagged trials (durable campaigns only;
-  /// empty when every trial succeeded in time).
+  /// Quarantined trials (empty when every trial succeeded).
   std::span<const TrialFailure> failures;
 };
 
@@ -96,17 +95,14 @@ class TelemetrySink {
   /// A UE session switched serving cells during the active network run
   /// (only emitted by net-layer campaigns with handover enabled).
   virtual void on_handover(const core::HandoverEvent& event) { (void)event; }
-  /// The active trial was quarantined after exhausting its retry budget,
-  /// or flagged by the wall-clock watchdog (durable campaigns only;
-  /// delivered before the trial's on_run_end, in trial-index order).
+  /// The active trial was quarantined after exhausting its retry budget
+  /// (delivered before the trial's on_run_end, in trial-index order).
   virtual void on_trial_failure(const TrialFailure& failure) {
     (void)failure;
   }
   /// A periodic snapshot of a live streaming run (sim/streaming.h). Like
-  /// every other event, delivered from ONE thread; under the service's
-  /// async telemetry queue that thread is the drain thread, still one at
-  /// a time and in emission order (minus shed snapshots -- see
-  /// StreamSnapshot::dropped).
+  /// every other event, delivered from ONE thread (the service's
+  /// orchestrator), in emission order.
   virtual void on_snapshot(const StreamSnapshot& snapshot) {
     (void)snapshot;
   }

@@ -20,7 +20,6 @@
 // outlive any world it is bound to.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <memory_resource>
 #include <optional>
@@ -65,8 +64,6 @@ class TrialWorkspace {
   Grid& grid() { return scratch_->grid; }
   /// CSI scratch for received_power_prepared (overwritten every call).
   std::pmr::vector<cplx>& csi() { return scratch_->csi; }
-  /// Stable-order index scratch for the blockage event process.
-  std::pmr::vector<std::size_t>& order() { return scratch_->order; }
 
   /// One tick's delay-phasor table (channel::fill_delay_phasors) and the
   /// tick id it was filled for; tick 0 means empty.
@@ -82,10 +79,9 @@ class TrialWorkspace {
  private:
   struct Scratch {
     explicit Scratch(std::pmr::memory_resource* mr)
-        : grid(mr), csi(mr), order(mr), phasors(mr) {}
+        : grid(mr), csi(mr), phasors(mr) {}
     Grid grid;
     std::pmr::vector<cplx> csi;
-    std::pmr::vector<std::size_t> order;
     PhasorSlot phasors;
   };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <numeric>
 
 #include "common/error.h"
 #include "dsp/kernels.h"
@@ -11,20 +10,6 @@
 
 namespace mmr::sim {
 namespace {
-
-// Shared between the plain and workspace-scratch order containers (the
-// latter is a pmr vector): identical iota + sort, so the event process
-// addresses the same stable ranks either way.
-template <typename IndexVec>
-void fill_stable_order(const std::vector<channel::Path>& paths,
-                       IndexVec& order) {
-  order.resize(paths.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (paths[a].is_los != paths[b].is_los) return paths[a].is_los;
-    return std::norm(paths[a].gain) > std::norm(paths[b].gain);
-  });
-}
 
 phy::EstimatorConfig make_estimator_config(const WorldConfig& config) {
   phy::EstimatorConfig est;
@@ -62,17 +47,6 @@ void LinkWorld::add_blocker(channel::GeometricBlocker blocker) {
   set_time(t_s_);
 }
 
-void LinkWorld::set_event_process(channel::BlockageEventProcess process) {
-  events_ = std::make_unique<channel::BlockageEventProcess>(std::move(process));
-  set_time(t_s_);
-}
-
-std::vector<std::size_t> LinkWorld::stable_order() const {
-  std::vector<std::size_t> order;
-  fill_stable_order(paths_, order);
-  return order;
-}
-
 void LinkWorld::add_irs(channel::IrsPanel panel) {
   irs_panels_.push_back(panel);
   set_time(t_s_);
@@ -98,48 +72,19 @@ void LinkWorld::set_time(double t_s) {
     }
     p.blockage_db = atten;
   }
-
-  // Stochastic event process: addressed by stable path index. With a
-  // bound workspace the index scratch lives on the trial arena.
-  if (events_ != nullptr && !paths_.empty()) {
-    if (ws_ != nullptr) {
-      auto& order = ws_->order();
-      fill_stable_order(paths_, order);
-      for (std::size_t rank = 0; rank < order.size(); ++rank) {
-        paths_[order[rank]].blockage_db += events_->attenuation_db(t_s, rank);
-      }
-    } else {
-      const std::vector<std::size_t> order = stable_order();
-      for (std::size_t rank = 0; rank < order.size(); ++rank) {
-        paths_[order[rank]].blockage_db += events_->attenuation_db(t_s, rank);
-      }
-    }
-  }
   if (ws_ != nullptr) tick_id_ = ws_->next_tick_id();
 }
 
 core::LinkProbeInterface LinkWorld::probe_interface() {
   core::LinkProbeInterface link;
-  link.csi = [this](const CVec& w) { return probe_csi(w, config_.rx); };
+  link.csi = [this](const CVec& w) { return probe_csi(w); };
   link.cir = [this](const CVec& w, std::size_t num_taps) {
-    return probe_cir(w, config_.rx, num_taps);
+    return probe_cir(w, num_taps);
   };
   return link;
 }
 
-LinkWorld::JointProbe LinkWorld::joint_probe_interface() {
-  JointProbe jp;
-  jp.csi = [this](const CVec& tx_w, const CVec& rx_w) {
-    return probe_csi(tx_w, channel::RxFrontend::beam(config_.ue_ula, rx_w));
-  };
-  jp.cir = [this](const CVec& tx_w, const CVec& rx_w, std::size_t num_taps) {
-    return probe_cir(tx_w, channel::RxFrontend::beam(config_.ue_ula, rx_w),
-                     num_taps);
-  };
-  return jp;
-}
-
-CVec LinkWorld::probe_csi(const CVec& tx_w, const channel::RxFrontend& rx) {
+CVec LinkWorld::probe_csi(const CVec& tx_w) {
   const std::size_t n = config_.spec.num_subcarriers;
   CVec est(n);
   if (paths_.empty()) {
@@ -149,13 +94,14 @@ CVec LinkWorld::probe_csi(const CVec& tx_w, const channel::RxFrontend& rx) {
                                  config_.pilot_averaging_gain);
   } else if (ws_ == nullptr) {
     estimator_.estimate_into(
-        channel::effective_csi(paths_, config_.tx_ula, tx_w, config_.spec, rx)
+        channel::effective_csi(paths_, config_.tx_ula, tx_w, config_.spec,
+                               config_.rx)
             .data(),
         n, est.data());
   } else {
     auto& truth = ws_->csi();
     truth.resize(n);
-    channel::effective_csi_into(paths_, config_.tx_ula, tx_w, rx,
+    channel::effective_csi_into(paths_, config_.tx_ula, tx_w, config_.rx,
                                 workspace_grid(), tick_phasors(),
                                 truth.data());
     estimator_.estimate_into(truth.data(), n, est.data());
@@ -163,8 +109,7 @@ CVec LinkWorld::probe_csi(const CVec& tx_w, const channel::RxFrontend& rx) {
   return est;
 }
 
-CVec LinkWorld::probe_cir(const CVec& tx_w, const channel::RxFrontend& rx,
-                          std::size_t num_taps) {
+CVec LinkWorld::probe_cir(const CVec& tx_w, std::size_t num_taps) {
   const double var = phy::noise_reference(config_.budget) /
                      config_.pilot_averaging_gain /
                      static_cast<double>(config_.spec.num_subcarriers);
@@ -174,7 +119,7 @@ CVec LinkWorld::probe_cir(const CVec& tx_w, const channel::RxFrontend& rx,
   } else {
     const double jitter = rng_.normal(0.0, config_.timing_jitter_std_s);
     cir = channel::effective_cir(paths_, config_.tx_ula, tx_w, config_.spec,
-                                 num_taps, rx, std::abs(jitter));
+                                 num_taps, config_.rx, std::abs(jitter));
   }
   // CFO: a common rotation leaves |taps| intact but keeps controllers
   // honest about not relying on absolute phase.
@@ -213,29 +158,17 @@ const cplx* LinkWorld::tick_phasors() const {
   return slot.table.data();
 }
 
-double LinkWorld::workspace_power(const CVec& tx_w,
-                                  const channel::RxFrontend& rx) const {
+double LinkWorld::workspace_power(const CVec& tx_w) const {
   auto& csi = ws_->csi();
   csi.resize(config_.spec.num_subcarriers);
-  return channel::received_power_prepared(paths_, config_.tx_ula, tx_w, rx,
-                                          workspace_grid(), tick_phasors(),
-                                          csi.data());
-}
-
-double LinkWorld::true_snr_db_joint(const CVec& tx_w, const CVec& rx_w) const {
-  if (paths_.empty()) return -300.0;
-  const auto rx = channel::RxFrontend::beam(config_.ue_ula, rx_w);
-  const double power =
-      ws_ != nullptr ? workspace_power(tx_w, rx)
-                     : channel::received_power(paths_, config_.tx_ula, tx_w,
-                                               config_.spec, rx);
-  if (power <= 0.0) return -300.0;
-  return config_.budget.snr_db(power);
+  return channel::received_power_prepared(paths_, config_.tx_ula, tx_w,
+                                          config_.rx, workspace_grid(),
+                                          tick_phasors(), csi.data());
 }
 
 double LinkWorld::true_power(const CVec& tx_weights) const {
   if (paths_.empty()) return 0.0;
-  if (ws_ != nullptr) return workspace_power(tx_weights, config_.rx);
+  if (ws_ != nullptr) return workspace_power(tx_weights);
   return channel::received_power(paths_, config_.tx_ula, tx_weights,
                                  config_.spec, config_.rx);
 }

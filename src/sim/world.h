@@ -34,8 +34,6 @@ struct WorldConfig {
   phy::LinkBudget budget = phy::LinkBudget::paper_indoor();
   array::Ula tx_ula{8, 0.5};
   channel::RxFrontend rx = channel::RxFrontend::omni();
-  /// UE array used by joint_probe_interface (directional-UE experiments).
-  array::Ula ue_ula{4, 0.5};
   /// Pilot averaging gain of the channel estimator.
   double pilot_averaging_gain = 20.0;
   /// Std of the receiver timing error applied to CIR reports [s].
@@ -51,7 +49,6 @@ class LinkWorld {
             WorldConfig config, Rng rng);
 
   void add_blocker(channel::GeometricBlocker blocker);
-  void set_event_process(channel::BlockageEventProcess process);
   /// Deploy an intelligent reflecting surface (Section 8 future work):
   /// adds an engineered TX->panel->RX path on every trace.
   void add_irs(channel::IrsPanel panel);
@@ -60,16 +57,16 @@ class LinkWorld {
   /// true_power/true_snr_db) and the CSI probes: the frequency grid and
   /// its affine fit are cached, the tick's delay-phasor table is filled
   /// once per tick into the workspace's phasor slot (reserved here for
-  /// the scene's largest path count), and the CSI / path-order scratch
-  /// live on the workspace arena, so the steady-state scoring loop
-  /// allocates nothing and a CSI probe allocates only its result. Results
-  /// are bit-identical with or without a workspace. Pass nullptr to
-  /// unbind. The workspace must outlive this world (or the unbind).
+  /// the scene's largest path count), and the CSI scratch lives on the
+  /// workspace arena, so the steady-state scoring loop allocates nothing
+  /// and a CSI probe allocates only its result. Results are bit-identical
+  /// with or without a workspace. Pass nullptr to unbind. The workspace
+  /// must outlive this world (or the unbind).
   void bind_workspace(TrialWorkspace* ws);
 
-  /// Advance the world: re-trace paths for the UE pose at t and apply all
-  /// blockage sources. With a workspace bound, the tick takes a fresh
-  /// tick id, so the previous tick's phasor table is never reused.
+  /// Advance the world: re-trace paths for the UE pose at t and apply the
+  /// blockers. With a workspace bound, the tick takes a fresh tick id, so
+  /// the previous tick's phasor table is never reused.
   void set_time(double t_s);
 
   double time() const { return t_s_; }
@@ -79,19 +76,6 @@ class LinkWorld {
   /// Impaired probe interface for controllers. The returned lambdas
   /// reference this world; keep it alive while they are used.
   core::LinkProbeInterface probe_interface();
-
-  /// Joint-end probing for directional-UE experiments (Section 4.4):
-  /// the caller supplies BOTH the gNB weights and the UE weights
-  /// (applied over ue_ula). Same impairments as probe_interface().
-  struct JointProbe {
-    std::function<CVec(const CVec& tx_w, const CVec& rx_w)> csi;
-    std::function<CVec(const CVec& tx_w, const CVec& rx_w,
-                       std::size_t num_taps)> cir;
-  };
-  JointProbe joint_probe_interface();
-
-  /// True SNR with explicit weights at both ends.
-  double true_snr_db_joint(const CVec& tx_w, const CVec& rx_w) const;
 
   /// True mean channel power gain for given TX weights (linear).
   double true_power(const CVec& tx_weights) const;
@@ -103,24 +87,20 @@ class LinkWorld {
   double power_for_snr(double snr_db) const;
 
  private:
-  /// Stable path index for the event process: 0 = LOS, then NLOS paths by
-  /// descending nominal power.
-  std::vector<std::size_t> stable_order() const;
-
-  /// The impaired probes behind both interfaces, received through `rx`.
-  CVec probe_csi(const CVec& tx_w, const channel::RxFrontend& rx);
-  CVec probe_cir(const CVec& tx_w, const channel::RxFrontend& rx,
-                 std::size_t num_taps);
+  /// The impaired probes behind probe_interface(), received through
+  /// config_.rx.
+  CVec probe_csi(const CVec& tx_w);
+  CVec probe_cir(const CVec& tx_w, std::size_t num_taps);
 
   /// The bound workspace's subcarrier grid, filled on first use.
   const dsp::FreqGrid& workspace_grid() const;
   /// The bound workspace's delay-phasor table of this tick's paths,
   /// filled on the tick's first CSI synthesis.
   const cplx* tick_phasors() const;
-  /// Mean received power through `rx` from the workspace scratch and the
-  /// tick's phasor table (the bound-world face of channel::received_power).
-  double workspace_power(const CVec& tx_w,
-                         const channel::RxFrontend& rx) const;
+  /// Mean received power through config_.rx from the workspace scratch
+  /// and the tick's phasor table (the bound-world face of
+  /// channel::received_power).
+  double workspace_power(const CVec& tx_w) const;
 
   channel::Environment env_;
   channel::Pose tx_pose_;
@@ -130,7 +110,6 @@ class LinkWorld {
   phy::ChannelEstimator estimator_;
   std::vector<channel::GeometricBlocker> blockers_;
   std::vector<channel::IrsPanel> irs_panels_;
-  std::unique_ptr<channel::BlockageEventProcess> events_;
   std::vector<channel::Path> paths_;
   TrialWorkspace* ws_ = nullptr;  ///< not owned; see bind_workspace
   std::uint64_t tick_id_ = 0;     ///< ws_ phasor-slot key of this tick

@@ -13,8 +13,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -22,6 +20,7 @@
 #include "common/rng.h"
 #include "sim/journal.h"
 #include "sim/shard.h"
+#include "tests/distributed/mutation.h"
 
 #ifdef __unix__
 #include "common/fs_ops.h"
@@ -45,100 +44,6 @@ CampaignKey mutation_key() {
   return key;
 }
 
-/// A trial record with every field the parser reads: escaped label
-/// characters and fault events, so mutations reach each sub-parser.
-JournalTrial mutation_trial(std::size_t index) {
-  JournalTrial t;
-  t.index = index;
-  t.wall_s = 0.5 + 0.125 * static_cast<double>(index);
-  t.cpu_s = 0.25 + 0.0625 * static_cast<double>(index);
-  t.label = "rep" + std::to_string(index) + " \"q\\\n";
-  t.summary.reliability = 0.9 - 0.01 * static_cast<double>(index);
-  t.summary.mean_throughput_bps = 1.5e9 + static_cast<double>(index);
-  t.summary.mean_spectral_efficiency = 4.0;
-  t.summary.throughput_reliability_product = 1.2e9;
-  t.summary.num_samples = 40 + index;
-  for (std::size_t f = 0; f < index % 3; ++f) {
-    core::FaultEvent ev;
-    ev.kind = f == 0 ? core::FaultEventKind::kProbeDropped
-                     : core::FaultEventKind::kRetrainTriggered;
-    ev.t_s = 0.001 * static_cast<double>(f + 1);
-    ev.beam = f;
-    ev.value = -3.5 * static_cast<double>(f);
-    t.faults.push_back(ev);
-  }
-  return t;
-}
-
-std::string read_all(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
-}
-
-void write_all(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out << bytes;
-}
-
-/// The file's lines, each with its trailing newline (a final line without
-/// one is kept as is).
-std::vector<std::string> split_lines(const std::string& bytes) {
-  std::vector<std::string> lines;
-  std::size_t start = 0;
-  while (start < bytes.size()) {
-    const std::size_t nl = bytes.find('\n', start);
-    const std::size_t end = nl == std::string::npos ? bytes.size() : nl + 1;
-    lines.push_back(bytes.substr(start, end - start));
-    start = end;
-  }
-  return lines;
-}
-
-std::string join_lines(const std::vector<std::string>& lines) {
-  std::string out;
-  for (const std::string& line : lines) out += line;
-  return out;
-}
-
-std::string flip_bits(const std::string& bytes, Rng& rng) {
-  std::string out = bytes;
-  const std::uint64_t flips = 1 + rng.uniform_index(3);
-  for (std::uint64_t f = 0; f < flips; ++f) {
-    const std::size_t at = rng.uniform_index(out.size());
-    out[at] = static_cast<char>(out[at] ^ (1u << rng.uniform_index(8)));
-  }
-  return out;
-}
-
-std::string duplicate_line(const std::string& bytes, Rng& rng) {
-  std::vector<std::string> lines = split_lines(bytes);
-  const std::string copy = lines[rng.uniform_index(lines.size())];
-  lines.insert(lines.begin() +
-                   static_cast<std::ptrdiff_t>(
-                       rng.uniform_index(lines.size() + 1)),
-               copy);
-  return join_lines(lines);
-}
-
-/// Replace one line by the head of a line and the tail of another, drawn
-/// from either shard's journal (what an interleaved copy produces).
-std::string splice_lines(const std::string& bytes, const std::string& other,
-                         Rng& rng) {
-  std::vector<std::string> lines = split_lines(bytes);
-  const std::vector<std::string> donors = split_lines(other);
-  const std::string& head = lines[rng.uniform_index(lines.size())];
-  const std::string& tail = rng.bernoulli(0.5)
-                                ? donors[rng.uniform_index(donors.size())]
-                                : lines[rng.uniform_index(lines.size())];
-  const std::string spliced =
-      head.substr(0, rng.uniform_index(head.size() + 1)) +
-      tail.substr(rng.uniform_index(tail.size() + 1));
-  lines[rng.uniform_index(lines.size())] = spliced;
-  return join_lines(lines);
-}
-
 #ifdef __unix__
 int skip_fsync(int) { return 0; }
 #endif
@@ -154,12 +59,12 @@ class MergeMutationTest : public ::testing::Test {
       paths_.push_back(shard_journal_path(dir_ + "/base", key_.name, plan));
       CampaignJournal journal(paths_.back(), key_, plan);
       for (std::size_t t = 0; t < kTrials; ++t) {
-        if (plan.owns(t)) journal.record(mutation_trial(t));
+        if (plan.owns(t)) journal.record(mutation::journal_trial(t));
       }
       journal.seal();
     }
     for (const std::string& path : paths_) {
-      originals_.push_back(read_all(path));
+      originals_.push_back(mutation::read_all(path));
     }
   }
   void TearDown() override {
@@ -175,7 +80,7 @@ class MergeMutationTest : public ::testing::Test {
                     bool& merged) {
     merged = false;
     const std::string mutated = dir_ + "/mutated.journal";
-    write_all(mutated, bytes);
+    mutation::write_all(mutated, bytes);
     std::vector<std::string> set = paths_;
     set[shard] = mutated;
     const std::string merged_path = dir_ + "/merged.journal";
@@ -257,13 +162,14 @@ TEST_F(MergeMutationTest, EveryInputMergesOrThrowsATypedError) {
       std::string bytes;
       switch (kind) {
         case 0:
-          bytes = flip_bits(original, rng);
+          bytes = mutation::flip_bits(original, rng);
           break;
         case 1:
-          bytes = duplicate_line(original, rng);
+          bytes = mutation::duplicate_line(original, rng);
           break;
         default:
-          bytes = splice_lines(original, originals_[1 - shard], rng);
+          bytes = mutation::splice_lines(original, originals_[1 - shard],
+                                         rng);
           break;
       }
       run(shard, bytes,

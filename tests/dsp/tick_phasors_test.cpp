@@ -59,14 +59,13 @@ sim::LinkWorld make_world(std::size_t num_subcarriers, std::uint64_t seed,
 }
 
 /// Everything one tick of a link observes through the world: a 16-beam
-/// CSI probe sweep, a joint (directional-UE) probe, a CIR probe, and the
-/// true SNRs. Probes draw from the world's Rng, so two worlds built from
-/// the same seed stay in lockstep only if every value matches.
+/// CSI probe sweep, a CIR probe, and the true SNR. Probes draw from the
+/// world's Rng, so two worlds built from the same seed stay in lockstep
+/// only if every value matches.
 struct TickRecord {
   std::vector<CVec> csi;
   CVec cir;
   double snr_db = 0.0;
-  double joint_snr_db = 0.0;
 };
 
 std::vector<CVec> beam_sweep(const sim::LinkWorld& world) {
@@ -80,20 +79,14 @@ std::vector<CVec> beam_sweep(const sim::LinkWorld& world) {
 
 void probe_tick(sim::LinkWorld& world, TickRecord& rec) {
   const core::LinkProbeInterface link = world.probe_interface();
-  const auto joint = world.joint_probe_interface();
   const std::vector<CVec> beams = beam_sweep(world);
-  const CVec ue_w =
-      array::single_beam_weights(world.config().ue_ula, 0.1);
   for (const CVec& w : beams) rec.csi.push_back(link.csi(w));
-  rec.csi.push_back(joint.csi(beams[3], ue_w));
   rec.cir = link.cir(beams[5], 24);
 }
 
 void score_tick(const sim::LinkWorld& world, TickRecord& rec) {
   const std::vector<CVec> beams = beam_sweep(world);
   rec.snr_db = world.true_snr_db(beams[7]);
-  rec.joint_snr_db = world.true_snr_db_joint(
-      beams[2], array::single_beam_weights(world.config().ue_ula, -0.2));
 }
 
 void expect_same_tick(const TickRecord& cached, const TickRecord& direct,
@@ -106,8 +99,6 @@ void expect_same_tick(const TickRecord& cached, const TickRecord& direct,
   EXPECT_TRUE(bitwise_equal(cached.cir, direct.cir)) << where << " cir";
   EXPECT_TRUE(bitwise_equal(cached.snr_db, direct.snr_db))
       << where << " snr " << cached.snr_db << " vs " << direct.snr_db;
-  EXPECT_TRUE(bitwise_equal(cached.joint_snr_db, direct.joint_snr_db))
-      << where << " joint snr";
 }
 
 constexpr std::size_t kTicks = 24;

@@ -1,5 +1,5 @@
-// The durability-facing half of the bench CLI: strict parse_f64, the
-// --resume / --trial-retries / --trial-timeout-s / --freeze-timing flags,
+// The durability-facing half of the bench CLI: strict parse_f64 and
+// require_f64, the --resume / --trial-retries / --freeze-timing flags,
 // and the exit(2) error paths the flags add.
 #include <gtest/gtest.h>
 
@@ -52,15 +52,13 @@ std::vector<char*> argv_of(std::vector<std::string>& args) {
 
 TEST(SweepCliDurability, ParsesTheDurabilityFlags) {
   std::vector<std::string> args = {
-      "prog",          "--resume",          "/tmp/ckpt",
-      "--trial-retries=2", "--trial-timeout-s", "1.5",
+      "prog", "--resume", "/tmp/ckpt", "--trial-retries=2",
       "--freeze-timing"};
   auto argv = argv_of(args);
   const sim::SweepCliOptions opts =
       sim::parse_sweep_cli(static_cast<int>(argv.size()), argv.data());
   EXPECT_EQ(opts.resume, "/tmp/ckpt");
   EXPECT_EQ(opts.trial_retries, 2u);
-  EXPECT_EQ(opts.trial_timeout_s, 1.5);
   EXPECT_TRUE(opts.freeze_timing);
 }
 
@@ -71,7 +69,6 @@ TEST(SweepCliDurability, DurabilityDefaultsAreOff) {
       sim::parse_sweep_cli(static_cast<int>(argv.size()), argv.data());
   EXPECT_TRUE(opts.resume.empty());
   EXPECT_EQ(opts.trial_retries, 0u);
-  EXPECT_EQ(opts.trial_timeout_s, 0.0);
   EXPECT_FALSE(opts.freeze_timing);
 }
 
@@ -88,16 +85,16 @@ int run_cli(std::vector<std::string> args) {
   return 0;
 }
 
-TEST(SweepCliDurabilityDeathTest, GarbageTimeoutExits2) {
-  EXPECT_EXIT(run_cli({"prog", "--trial-timeout-s", "fast"}),
-              ::testing::ExitedWithCode(2),
-              "invalid value for --trial-timeout-s");
+// require_f64 is the strict reader behind the benches' real-valued
+// flags (--duration-s, --cell-spacing-m, ...).
+TEST(SweepCliDurabilityDeathTest, GarbageF64ValueExits2) {
+  EXPECT_EXIT((void)sim::require_f64("--duration-s", "fast", "prog"),
+              ::testing::ExitedWithCode(2), "invalid value for --duration-s");
 }
 
-TEST(SweepCliDurabilityDeathTest, NegativeTimeoutExits2) {
-  EXPECT_EXIT(run_cli({"prog", "--trial-timeout-s=-1"}),
-              ::testing::ExitedWithCode(2),
-              "invalid value for --trial-timeout-s");
+TEST(SweepCliDurabilityDeathTest, NegativeF64ValueExits2) {
+  EXPECT_EXIT((void)sim::require_f64("--duration-s", "-1", "prog"),
+              ::testing::ExitedWithCode(2), "invalid value for --duration-s");
 }
 
 TEST(SweepCliDurabilityDeathTest, GarbageRetriesExits2) {

@@ -188,6 +188,10 @@ TEST(SweepCliDeathTest, UnknownFlagExits2) {
               ::testing::ExitedWithCode(2), "unknown argument: --lease-ttl-s");
   EXPECT_EXIT(run_cli({"prog", "--merge", "/tmp/b", "--watch"}),
               ::testing::ExitedWithCode(2), "unknown argument: --watch");
+  // So does the retired trial watchdog.
+  EXPECT_EXIT(run_cli({"prog", "--trial-timeout-s", "5"}),
+              ::testing::ExitedWithCode(2),
+              "unknown argument: --trial-timeout-s");
 }
 
 TEST(SweepCliDeathTest, ListExits0AndPrintsRegistries) {

@@ -145,10 +145,9 @@ TEST(InterferenceProps, BatchEvaluatorMatchesScalar) {
       angles[k] = rng.uniform(-kPi / 2.0, kPi / 2.0);
       distances[k] = rng.uniform(0.5, 300.0);
     }
-    const RVec batch =
-        net::interferer_gain_batch(ula, w, angles, distances, carrier,
-                                   coupling);
-    ASSERT_EQ(batch.size(), n);
+    RVec batch(n);
+    net::interferer_gain_batch_into(ula, w, angles, distances, carrier,
+                                    coupling, batch);
     for (std::size_t k = 0; k < n; ++k) {
       const double scalar = net::interferer_gain(ula, w, angles[k],
                                                  distances[k], carrier,
