@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "array/pattern_cache.h"
 #include "common/angles.h"
 #include "common/error.h"
 #include "common/units.h"
@@ -24,25 +23,6 @@ double power_gain(const Ula& ula, const CVec& weights, double phi_rad) {
 
 double power_gain_db(const Ula& ula, const CVec& weights, double phi_rad) {
   return to_db(power_gain(ula, weights, phi_rad));
-}
-
-PatternCut pattern_cut(const Ula& ula, const CVec& weights, double lo_rad,
-                       double hi_rad, std::size_t points) {
-  // Reject degenerate grids loudly (common::error) instead of returning an
-  // empty or NaN-filled cut: points < 2 cannot span an interval, reversed
-  // or non-finite bounds would silently poison every downstream figure.
-  MMR_EXPECTS(points >= 2);
-  MMR_EXPECTS(std::isfinite(lo_rad) && std::isfinite(hi_rad));
-  MMR_EXPECTS(hi_rad > lo_rad);
-  MMR_EXPECTS(weights.size() == ula.num_elements);
-  PatternCut cut;
-  cut.angle_rad.resize(points);
-  for (std::size_t i = 0; i < points; ++i) {
-    cut.angle_rad[i] = lo_rad + (hi_rad - lo_rad) * static_cast<double>(i) /
-                                    static_cast<double>(points - 1);
-  }
-  cut.gain_db = power_gain_db_batch(ula, weights, cut.angle_rad);
-  return cut;
 }
 
 double ula_relative_gain(std::size_t num_elements, double spacing_wavelengths,

@@ -21,14 +21,6 @@ double power_gain(const Ula& ula, const CVec& weights, double phi_rad);
 /// Power gain in dB.
 double power_gain_db(const Ula& ula, const CVec& weights, double phi_rad);
 
-/// Sampled pattern over an angle grid [lo, hi] with `points` samples.
-struct PatternCut {
-  RVec angle_rad;
-  RVec gain_db;
-};
-PatternCut pattern_cut(const Ula& ula, const CVec& weights, double lo_rad,
-                       double hi_rad, std::size_t points);
-
 /// Closed-form normalized ULA pattern used by the tracker's inverse
 /// model (paper Eq. 20): relative POWER gain (<= 1, =1 at offset 0) of a
 /// matched beam when the target sits `offset_rad` away from the beam

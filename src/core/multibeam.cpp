@@ -16,7 +16,7 @@ MultiBeam synthesize_multibeam(const array::Ula& ula,
   mb.weights.assign(ula.num_elements, cplx{});
   // The probing/tracking loops resynthesize multi-beams from the same few
   // trained angles every tick: pull the matched single-beam weights from
-  // the shared PatternCache and scale-add them with the batched kernel.
+  // the shared PatternCache and scale-add them with the axpy kernel.
   array::PatternCache& cache = array::PatternCache::instance();
   for (const BeamComponent& c : components) {
     const std::shared_ptr<const CVec> w =

@@ -54,14 +54,12 @@ enum class Backend {
   kNeon = 3,
 };
 
-/// Dispatch table: one entry per hot kernel. Entries a backend does not
-/// accelerate point at the scalar reference implementation.
+/// Dispatch table: one entry per hot kernel of dsp/kernels.h (9 entries).
+/// Entries a backend does not accelerate point at the scalar reference
+/// implementation.
 struct KernelTable {
-  void (*phasor_ramp_soa)(double step, std::size_t n, double* dst_re,
-                          double* dst_im) = nullptr;
   void (*phasor_ramp_interleaved)(double step, std::size_t n,
                                   cplx* dst) = nullptr;
-  cplx (*cdot)(const cplx* a, const cplx* b, std::size_t n) = nullptr;
   cplx (*dot_phasor_ramp)(double step, const cplx* w,
                           std::size_t n) = nullptr;
   void (*axpy)(cplx alpha, const cplx* x, cplx* y, std::size_t n) = nullptr;
@@ -94,7 +92,7 @@ struct Tolerance {
 /// by the backend-sweeping differential tier and printed in DESIGN.md).
 struct KernelTolerances {
   Tolerance phasor_ramp;
-  Tolerance dot;              ///< cdot and dot_phasor_ramp
+  Tolerance dot;              ///< dot_phasor_ramp
   Tolerance axpy;             ///< axpy and axpy_phasor_ramp
   Tolerance delay_phasors;   ///< delay_phasors + axpy_delay_phasors
   Tolerance box_muller;       ///< per normal, scale r = sqrt(-2 ln u1)

@@ -76,64 +76,6 @@ inline void rotate_anchor(double rot_re, double rot_im, double* a_re,
 
 }  // namespace
 
-MMR_AVX2 cplx avx2_cdot(const cplx* a, const cplx* b, std::size_t n) {
-  const double* ap = reinterpret_cast<const double*>(a);
-  const double* bp = reinterpret_cast<const double*>(b);
-  // Two-FMA accumulation: acc_p collects [ar*br, ai*bi, ...] and acc_q
-  // collects [ar*bi, ai*br, ...]; the horizontal finish combines
-  // re = sum(ar*br) - sum(ai*bi), im = sum(ar*bi) + sum(ai*br). That is
-  // one shuffle + two FMAs per two complexes, vs three shuffles + mul +
-  // fmaddsub + add for the addsub idiom -- the loop runs at FMA-port
-  // throughput instead of shuffle-port throughput. The difference of two
-  // large sums is covered by the absolute arm of the dot tolerance.
-  __m256d p0 = _mm256_setzero_pd();
-  __m256d p1 = _mm256_setzero_pd();
-  __m256d p2 = _mm256_setzero_pd();
-  __m256d p3 = _mm256_setzero_pd();
-  __m256d q0 = _mm256_setzero_pd();
-  __m256d q1 = _mm256_setzero_pd();
-  __m256d q2 = _mm256_setzero_pd();
-  __m256d q3 = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256d a0 = _mm256_loadu_pd(ap + 2 * i);
-    const __m256d b0 = _mm256_loadu_pd(bp + 2 * i);
-    p0 = _mm256_fmadd_pd(a0, b0, p0);
-    q0 = _mm256_fmadd_pd(a0, _mm256_permute_pd(b0, 0x5), q0);
-    const __m256d a1 = _mm256_loadu_pd(ap + 2 * i + 4);
-    const __m256d b1 = _mm256_loadu_pd(bp + 2 * i + 4);
-    p1 = _mm256_fmadd_pd(a1, b1, p1);
-    q1 = _mm256_fmadd_pd(a1, _mm256_permute_pd(b1, 0x5), q1);
-    const __m256d a2 = _mm256_loadu_pd(ap + 2 * i + 8);
-    const __m256d b2 = _mm256_loadu_pd(bp + 2 * i + 8);
-    p2 = _mm256_fmadd_pd(a2, b2, p2);
-    q2 = _mm256_fmadd_pd(a2, _mm256_permute_pd(b2, 0x5), q2);
-    const __m256d a3 = _mm256_loadu_pd(ap + 2 * i + 12);
-    const __m256d b3 = _mm256_loadu_pd(bp + 2 * i + 12);
-    p3 = _mm256_fmadd_pd(a3, b3, p3);
-    q3 = _mm256_fmadd_pd(a3, _mm256_permute_pd(b3, 0x5), q3);
-  }
-  const __m256d P = _mm256_add_pd(_mm256_add_pd(p0, p1),
-                                  _mm256_add_pd(p2, p3));
-  const __m256d Q = _mm256_add_pd(_mm256_add_pd(q0, q1),
-                                  _mm256_add_pd(q2, q3));
-  alignas(32) double pb[4];
-  alignas(32) double qb[4];
-  _mm256_store_pd(pb, P);
-  _mm256_store_pd(qb, Q);
-  double re = (pb[0] - pb[1]) + (pb[2] - pb[3]);
-  double im = (qb[0] + qb[1]) + (qb[2] + qb[3]);
-  for (; i < n; ++i) {
-    const double ar = ap[2 * i];
-    const double ai = ap[2 * i + 1];
-    const double br = bp[2 * i];
-    const double bi = bp[2 * i + 1];
-    re += ar * br - ai * bi;
-    im += ar * bi + ai * br;
-  }
-  return cplx(re, im);
-}
-
 MMR_AVX2 void avx2_axpy(cplx alpha, const cplx* x, cplx* y, std::size_t n) {
   const double* xp = reinterpret_cast<const double*>(x);
   double* yp = reinterpret_cast<double*>(y);
@@ -157,54 +99,6 @@ MMR_AVX2 void avx2_axpy(cplx alpha, const cplx* x, cplx* y, std::size_t n) {
     yp[2 * i] += sar * xr - sai * xi;
     yp[2 * i + 1] += sar * xi + sai * xr;
   }
-}
-
-MMR_AVX2 void avx2_phasor_ramp_soa(double step, std::size_t n, double* dst_re,
-                                   double* dst_im) {
-  if (n < 2 * kB) {
-    scalar_phasor_ramp_soa(step, n, dst_re, dst_im);
-    return;
-  }
-  const RampDeltas d = compute_ramp_deltas(step);
-  const __m256d dre0 = _mm256_loadu_pd(d.re);
-  const __m256d dre1 = _mm256_loadu_pd(d.re + 4);
-  const __m256d dim0 = _mm256_loadu_pd(d.im);
-  const __m256d dim1 = _mm256_loadu_pd(d.im + 4);
-  double rot_re;
-  double rot_im;
-  exact_phasor(step, kB, &rot_re, &rot_im);
-  const auto emit_block = [&](std::size_t base, double a_re, double a_im)
-                              MMR_AVX2 {
-    const __m256d are = _mm256_set1_pd(a_re);
-    const __m256d aim = _mm256_set1_pd(a_im);
-    // out_re = are*dre - aim*dim ; out_im = aim*dre + are*dim
-    _mm256_storeu_pd(dst_re + base,
-                     _mm256_fmsub_pd(are, dre0, _mm256_mul_pd(aim, dim0)));
-    _mm256_storeu_pd(dst_re + base + 4,
-                     _mm256_fmsub_pd(are, dre1, _mm256_mul_pd(aim, dim1)));
-    _mm256_storeu_pd(dst_im + base,
-                     _mm256_fmadd_pd(aim, dre0, _mm256_mul_pd(are, dim0)));
-    _mm256_storeu_pd(dst_im + base + 4,
-                     _mm256_fmadd_pd(aim, dre1, _mm256_mul_pd(are, dim1)));
-  };
-  std::size_t i = 0;
-  // One libm sincos serves TWO blocks: the second block's anchor is the
-  // first rotated by kB steps (see rotate_anchor).
-  for (; i + 2 * kB <= n; i += 2 * kB) {
-    double a_re;
-    double a_im;
-    exact_phasor(step, i, &a_re, &a_im);
-    emit_block(i, a_re, a_im);
-    rotate_anchor(rot_re, rot_im, &a_re, &a_im);
-    emit_block(i + kB, a_re, a_im);
-  }
-  for (; i + kB <= n; i += kB) {
-    double a_re;
-    double a_im;
-    exact_phasor(step, i, &a_re, &a_im);
-    emit_block(i, a_re, a_im);
-  }
-  for (; i < n; ++i) exact_phasor(step, i, &dst_re[i], &dst_im[i]);
 }
 
 namespace {
@@ -246,6 +140,8 @@ MMR_AVX2 void avx2_phasor_ramp_interleaved(double step, std::size_t n,
     }
   };
   std::size_t i = 0;
+  // One libm sincos serves TWO blocks: the second block's anchor is the
+  // first rotated by kB steps (see rotate_anchor).
   for (; i + 2 * kB <= n; i += 2 * kB) {
     double a_re;
     double a_im;
@@ -464,9 +360,7 @@ MMR_AVX2 void avx2_axpy_delay_phasors(const FreqGrid& grid, cplx alpha,
 const KernelTable* avx2_table() {
   static const KernelTable table = [] {
     KernelTable t;
-    t.phasor_ramp_soa = &avx2_phasor_ramp_soa;
     t.phasor_ramp_interleaved = &avx2_phasor_ramp_interleaved;
-    t.cdot = &avx2_cdot;
     t.dot_phasor_ramp = &avx2_dot_phasor_ramp;
     t.axpy = &avx2_axpy;
     t.axpy_phasor_ramp = &avx2_axpy_phasor_ramp;

@@ -18,10 +18,7 @@ namespace mmr::dsp::detail {
 // ---------------------------------------------------------------------------
 // Scalar reference (backend_scalar.cpp): bit-exact PR-2 loops.
 // ---------------------------------------------------------------------------
-void scalar_phasor_ramp_soa(double step, std::size_t n, double* dst_re,
-                            double* dst_im);
 void scalar_phasor_ramp_interleaved(double step, std::size_t n, cplx* dst);
-cplx scalar_cdot(const cplx* a, const cplx* b, std::size_t n);
 cplx scalar_dot_phasor_ramp(double step, const cplx* w, std::size_t n);
 void scalar_axpy(cplx alpha, const cplx* x, cplx* y, std::size_t n);
 void scalar_axpy_phasor_ramp(cplx alpha, double step, cplx* y, std::size_t n);
@@ -45,10 +42,7 @@ void scalar_sinc_column(double ts, double bandwidth, double tau,
 // compiled everywhere. Reassociated accumulations (4 independent
 // accumulators) and anchor+delta phasor evaluation.
 // ---------------------------------------------------------------------------
-void portable_phasor_ramp_soa(double step, std::size_t n, double* dst_re,
-                              double* dst_im);
 void portable_phasor_ramp_interleaved(double step, std::size_t n, cplx* dst);
-cplx portable_cdot(const cplx* a, const cplx* b, std::size_t n);
 cplx portable_dot_phasor_ramp(double step, const cplx* w, std::size_t n);
 void portable_axpy(cplx alpha, const cplx* x, cplx* y, std::size_t n);
 void portable_axpy_phasor_ramp(cplx alpha, double step, cplx* y,

@@ -16,51 +16,29 @@ namespace mmr::dsp::detail {
 
 namespace {
 
-inline cplx ref_unit_phasor(double step, std::size_t i) {
+inline cplx ref_phasor(double step, std::size_t i) {
   const double ang = -step * static_cast<double>(i);
   return cplx(std::cos(ang), std::sin(ang));
 }
 
 }  // namespace
 
-void scalar_phasor_ramp_soa(double step, std::size_t n, double* dst_re,
-                            double* dst_im) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const double ang = -step * static_cast<double>(i);
-    dst_re[i] = std::cos(ang);
-    dst_im[i] = std::sin(ang);
-  }
-}
-
 void scalar_phasor_ramp_interleaved(double step, std::size_t n, cplx* dst) {
-  for (std::size_t i = 0; i < n; ++i) dst[i] = ref_unit_phasor(step, i);
-}
-
-cplx scalar_cdot(const cplx* a, const cplx* b, std::size_t n) {
-  cplx acc{};
-  std::size_t i = 0;
-  // Unrolled by 4 into ONE accumulator: the additions stay in element
-  // order, so the sum rounds exactly like the naive reference loop.
-  for (; i + 4 <= n; i += 4) {
-    acc += a[i] * b[i];
-    acc += a[i + 1] * b[i + 1];
-    acc += a[i + 2] * b[i + 2];
-    acc += a[i + 3] * b[i + 3];
-  }
-  for (; i < n; ++i) acc += a[i] * b[i];
-  return acc;
+  for (std::size_t i = 0; i < n; ++i) dst[i] = ref_phasor(step, i);
 }
 
 cplx scalar_dot_phasor_ramp(double step, const cplx* w, std::size_t n) {
   cplx acc{};
   std::size_t i = 0;
+  // Unrolled by 4 into ONE accumulator: the additions stay in element
+  // order, so the sum rounds exactly like the naive reference loop.
   for (; i + 4 <= n; i += 4) {
-    acc += ref_unit_phasor(step, i) * w[i];
-    acc += ref_unit_phasor(step, i + 1) * w[i + 1];
-    acc += ref_unit_phasor(step, i + 2) * w[i + 2];
-    acc += ref_unit_phasor(step, i + 3) * w[i + 3];
+    acc += ref_phasor(step, i) * w[i];
+    acc += ref_phasor(step, i + 1) * w[i + 1];
+    acc += ref_phasor(step, i + 2) * w[i + 2];
+    acc += ref_phasor(step, i + 3) * w[i + 3];
   }
-  for (; i < n; ++i) acc += ref_unit_phasor(step, i) * w[i];
+  for (; i < n; ++i) acc += ref_phasor(step, i) * w[i];
   return acc;
 }
 
@@ -69,7 +47,7 @@ void scalar_axpy(cplx alpha, const cplx* x, cplx* y, std::size_t n) {
 }
 
 void scalar_axpy_phasor_ramp(cplx alpha, double step, cplx* y, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) y[i] += alpha * ref_unit_phasor(step, i);
+  for (std::size_t i = 0; i < n; ++i) y[i] += alpha * ref_phasor(step, i);
 }
 
 // The per-path loop dst[k] += alpha * cplx(cos(ang), sin(ang)), split at
@@ -157,9 +135,7 @@ namespace mmr::dsp::detail {
 const KernelTable* scalar_table() {
   static const KernelTable table = [] {
     KernelTable t;
-    t.phasor_ramp_soa = &scalar_phasor_ramp_soa;
     t.phasor_ramp_interleaved = &scalar_phasor_ramp_interleaved;
-    t.cdot = &scalar_cdot;
     t.dot_phasor_ramp = &scalar_dot_phasor_ramp;
     t.axpy = &scalar_axpy;
     t.axpy_phasor_ramp = &scalar_axpy_phasor_ramp;

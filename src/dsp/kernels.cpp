@@ -1,28 +1,11 @@
 #include "dsp/kernels.h"
 
-#include <cmath>
-
-#include "common/error.h"
 #include "dsp/backend.h"
 #include "dsp/backend_kernels.h"
 
 namespace mmr::dsp {
 
-CVec CplxBatch::row(std::size_t r) const {
-  MMR_EXPECTS(r < rows_);
-  CVec out(cols_);
-  const double* re = row_re(r);
-  const double* im = row_im(r);
-  for (std::size_t c = 0; c < cols_; ++c) out[c] = cplx(re[c], im[c]);
-  return out;
-}
-
-cplx unit_phasor(double step, std::size_t i) {
-  const double ang = -step * static_cast<double>(i);
-  return cplx(std::cos(ang), std::sin(ang));
-}
-
-// Every batched kernel below routes through the active backend's
+// Every kernel below routes through the active backend's
 // dispatch table (dsp/backend.h). The scalar reference implementations
 // live in backend_scalar.cpp, bit-for-bit the loops that used to sit
 // here.
@@ -31,16 +14,8 @@ void phasor_ramp(double step, std::size_t n, cplx* dst) {
   active_table().phasor_ramp_interleaved(step, n, dst);
 }
 
-void phasor_ramp(double step, std::size_t n, double* dst_re, double* dst_im) {
-  active_table().phasor_ramp_soa(step, n, dst_re, dst_im);
-}
-
 cplx dot_phasor_ramp(double step, const cplx* w, std::size_t n) {
   return active_table().dot_phasor_ramp(step, w, n);
-}
-
-cplx cdot(const cplx* a, const cplx* b, std::size_t n) {
-  return active_table().cdot(a, b, n);
 }
 
 void axpy(cplx alpha, const cplx* x, cplx* y, std::size_t n) {

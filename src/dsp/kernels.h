@@ -1,6 +1,8 @@
-// Batched complex microkernels: phasor ramps (steering-vector innards),
-// fused phasor inner products (array factors), and complex axpy — the
-// primitives every beamforming hot loop reduces to.
+// Complex microkernels: phasor ramps (steering-vector innards), the fused
+// phasor inner product (array factors), complex axpy, the split delay
+// phasors of CSI synthesis, Box-Muller and the probe impairment -- the
+// primitives every beamforming and channel hot loop reduces to. Each one
+// is an entry of the backend dispatch table (dsp/backend.h).
 //
 // Bit-compatibility contract: on the SCALAR backend every kernel performs
 // the SAME per-element floating-point operations in the SAME order as the
@@ -9,10 +11,10 @@
 // the accumulation, so a kernel result is reproducible against a naive
 // reference to <= 1 ULP (empirically bit-identical; enforced by
 // tests/dsp/kernel_differential_test over >= 1e4 randomized cases). This
-// is what lets the PatternCache hand one worker's result to every other
-// sweep worker without perturbing the golden figures.
+// is what lets the PatternCache hand one worker's beam weights to every
+// other sweep worker without perturbing the golden figures.
 //
-// Since PR-6 every batched kernel dispatches through a runtime-selected
+// Since PR-6 every kernel dispatches through a runtime-selected
 // backend table (dsp/backend.h): the scalar reference keeps the contract
 // above verbatim, while the portable/AVX2/NEON backends may reassociate
 // sums and evaluate phasors by anchor+rotation within a declared,
@@ -45,59 +47,13 @@
 
 namespace mmr::dsp {
 
-/// SoA batch of `rows` complex vectors of length `cols` in ONE contiguous
-/// allocation. Row r's layout is [re x cols][im x cols], so a row's two
-/// planes are adjacent in memory and a row can be processed without
-/// touching any other row's cache lines.
-class CplxBatch {
- public:
-  CplxBatch() = default;
-  CplxBatch(std::size_t rows, std::size_t cols)
-      : rows_(rows), cols_(cols), data_(2 * rows * cols, 0.0) {}
-
-  std::size_t rows() const { return rows_; }
-  std::size_t cols() const { return cols_; }
-
-  double* row_re(std::size_t r) { return data_.data() + 2 * r * cols_; }
-  double* row_im(std::size_t r) { return row_re(r) + cols_; }
-  const double* row_re(std::size_t r) const {
-    return data_.data() + 2 * r * cols_;
-  }
-  const double* row_im(std::size_t r) const { return row_re(r) + cols_; }
-
-  cplx at(std::size_t r, std::size_t c) const {
-    return cplx(row_re(r)[c], row_im(r)[c]);
-  }
-
-  /// Materialize row r as an interleaved complex vector. Bounds-checked
-  /// (throws std::logic_error on r >= rows); the pointer accessors above
-  /// stay unchecked -- they are the hot path.
-  CVec row(std::size_t r) const;
-
- private:
-  std::size_t rows_ = 0;
-  std::size_t cols_ = 0;
-  RVec data_;
-};
-
-/// Unit phasor exp(-j step i): the per-element op of a steering vector
-/// with electrical phase step `step` between adjacent elements.
-cplx unit_phasor(double step, std::size_t i);
-
 /// Fill dst[i] = exp(-j step i) for i in [0, n) (interleaved complex).
 void phasor_ramp(double step, std::size_t n, cplx* dst);
-
-/// SoA variant: dst_re[i] = cos(-step i), dst_im[i] = sin(-step i).
-void phasor_ramp(double step, std::size_t n, double* dst_re, double* dst_im);
 
 /// Fused array factor: sum_i exp(-j step i) * w[i], without materializing
 /// the phasor ramp. Sequential single-accumulator sum (unrolled by 4, no
 /// reassociation) — matches `steering_vector` + sequential dot bit for bit.
 cplx dot_phasor_ramp(double step, const cplx* w, std::size_t n);
-
-/// Unconjugated complex inner product sum_i a[i] * b[i], sequential
-/// single-accumulator order (unrolled by 4, no reassociation).
-cplx cdot(const cplx* a, const cplx* b, std::size_t n);
 
 /// y[i] += alpha * x[i] for i in [0, n).
 void axpy(cplx alpha, const cplx* x, cplx* y, std::size_t n);

@@ -41,10 +41,9 @@ void interferer_gain_batch_into(const array::Ula& ula, const CVec& weights,
   MMR_EXPECTS(carrier_hz > 0.0);
   MMR_EXPECTS(coupling_loss_db >= 0.0);
   // Each victim runs the SAME fused power_gain evaluation as the scalar
-  // interferer_gain -- not array_factor_batch, whose separate
-  // phasor-ramp + cdot loops reassociate differently under the SIMD
-  // backends. That keeps batch == scalar BITWISE on every backend (the
-  // network layer's byte-identity contracts fold these values into SINR).
+  // interferer_gain, which keeps batch == scalar BITWISE on every backend
+  // (the network layer's byte-identity contracts fold these values into
+  // SINR).
   for (std::size_t i = 0; i < out.size(); ++i) {
     MMR_EXPECTS(distances_m[i] > 0.0);
     const double d = distances_m[i] < 1.0 ? 1.0 : distances_m[i];

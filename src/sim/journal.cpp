@@ -5,6 +5,7 @@
 #include <cinttypes>
 #include <cstring>
 #include <fstream>
+#include <istream>
 #include <sstream>
 #include <utility>
 
@@ -32,20 +33,6 @@ std::string bits_of(double v) {
   char buf[20];
   std::snprintf(buf, sizeof(buf), "0x%016" PRIx64, std::bit_cast<std::uint64_t>(v));
   return buf;
-}
-
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '\n') {
-      out += "\\n";
-      continue;
-    }
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
 }
 
 const char* seed_policy_name(SeedPolicy policy) {
@@ -191,7 +178,7 @@ bool parse_fault_kind(const std::string& name, core::FaultEventKind& out) {
 std::string header_line(const CampaignKey& key, const ShardPlan& shard) {
   std::ostringstream os;
   os << "{\"campaign_header\": {\"format\": " << kJournalFormat
-     << ", \"name\": \"" << escape(key.name)
+     << ", \"name\": \"" << json_escape(key.name)
      << "\", \"base_seed\": " << key.base_seed
      << ", \"trials\": " << key.trials << ", \"seed_policy\": \""
      << seed_policy_name(key.seed_policy) << "\", \"fingerprint\": \"";
@@ -259,7 +246,7 @@ std::string trial_line(const JournalTrial& t) {
   std::ostringstream os;
   os << "{\"trial\": {\"index\": " << t.index << ", \"wall_bits\": "
      << "\"" << bits_of(t.wall_s) << "\", \"cpu_bits\": \""
-     << bits_of(t.cpu_s) << "\", \"label\": \"" << escape(t.label)
+     << bits_of(t.cpu_s) << "\", \"label\": \"" << json_escape(t.label)
      << "\", \"summary_bits\": [\"" << bits_of(t.summary.reliability)
      << "\", \"" << bits_of(t.summary.mean_throughput_bps) << "\", \""
      << bits_of(t.summary.mean_spectral_efficiency) << "\", \""
@@ -357,18 +344,53 @@ bool parse_seal_line(const std::string& line, JournalSeal& out) {
   return true;
 }
 
+// The one journal reader: header, then every intact trial record with its
+// verbatim line, then the seal state. nullopt when the header line is
+// missing, blank or unreadable.
+std::optional<LoadedJournal> scan_journal(std::istream& in) {
+  LoadedJournal out;
+  std::string line;
+  if (!std::getline(in, line) ||
+      !parse_header_line(line, out.key, out.shard)) {
+    return std::nullopt;
+  }
+  while (std::getline(in, line)) {
+    if (out.seal.has_value()) {
+      if (!line.empty()) out.content_after_seal = true;
+      continue;
+    }
+    JournalSeal seal;
+    if (parse_seal_line(line, seal)) {
+      out.seal = seal;
+      continue;
+    }
+    if (out.torn_tail) continue;
+    JournalTrial trial;
+    if (!parse_trial_line(line, trial)) {
+      // Record loading stops at the first torn line, but the scan keeps
+      // looking for a seal: a seal over records that are no longer all
+      // there is transport damage, and seal_intact() must see it.
+      out.torn_tail = true;
+      continue;
+    }
+    // Intact records are returned even when out of range / outside the
+    // shard's ownership: the merge validator rejects those loudly, and
+    // the resume path stops loading at the first one.
+    out.records_fnv = journal_fnv1a(line, out.records_fnv);
+    out.records_fnv = journal_fnv1a("\n", out.records_fnv);
+    out.trials.push_back(std::move(trial));
+    out.lines.push_back(std::move(line));
+  }
+  return out;
+}
+
 // ---------------------------------------------------------------------------
 // Fingerprinting: FNV-1a 64 over a canonical serialization of the spec's
 // declarative state (doubles as bit patterns, fields in fixed order).
 
 struct Fnv {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  void feed(std::string_view text) {
-    for (unsigned char c : text) {
-      h ^= c;
-      h *= 0x100000001b3ull;
-    }
-  }
+  std::uint64_t h = kJournalFnvOffset;
+  void feed(std::string_view text) { h = journal_fnv1a(text, h); }
   void u64(std::uint64_t v) {
     char buf[24];
     std::snprintf(buf, sizeof(buf), "%" PRIu64 ";", v);
@@ -462,89 +484,72 @@ CampaignJournal::CampaignJournal(std::string path, CampaignKey key,
     : path_(std::move(path)), key_(std::move(key)), shard_(shard) {
   MMR_EXPECTS(!path_.empty());
   MMR_EXPECTS(shard_.valid());
-  bool exists = false;
-  {
-    std::ifstream in(path_);
-    std::string line;
-    if (in && std::getline(in, line) && !line.empty()) {
-      exists = true;
-      CampaignKey found;
-      ShardPlan found_shard;
-      if (!parse_header_line(line, found, found_shard)) {
-        throw JournalMismatchError("campaign journal '" + path_ +
-                                   "' has an unreadable header; refusing "
-                                   "to resume (delete it to start over)");
-      }
-      const auto mismatch = [&](const std::string& what) {
-        throw JournalMismatchError(
-            "campaign journal '" + path_ + "' belongs to a different " +
-            "campaign (" + what + " differs); refusing to resume");
-      };
-      if (found.name != key_.name) mismatch("name");
-      if (found.base_seed != key_.base_seed) mismatch("base seed");
-      if (found.trials != key_.trials) mismatch("trial count");
-      if (found.seed_policy != key_.seed_policy) mismatch("seed policy");
-      if (found.fingerprint != key_.fingerprint) {
-        mismatch("config fingerprint");
-      }
-      if (found_shard.count != shard_.count) mismatch("shard count");
-      if (found_shard.index != shard_.index) mismatch("shard index");
-      // Load completed trials, keeping the raw bytes of every intact
-      // record line (the seal fingerprints those bytes). Loading stops at
-      // the first torn/foreign line -- a crash can only tear the tail --
-      // but the scan continues so a seal footer is still found: a seal
-      // that disagrees with the surviving records means the file lost or
-      // gained bytes in transport, not that a worker crashed early.
-      std::string kept;  // intact record lines, verbatim, in file order
-      std::optional<JournalSeal> found_seal;
-      bool damaged = false;
-      bool after_seal = false;
-      while (std::getline(in, line)) {
-        if (found_seal.has_value()) {
-          if (!line.empty()) after_seal = true;
-          continue;
-        }
-        JournalSeal seal;
-        if (parse_seal_line(line, seal)) {
-          found_seal = seal;
-          continue;
-        }
-        if (damaged) continue;
-        JournalTrial trial;
-        if (!parse_trial_line(line, trial) || trial.index >= key_.trials ||
-            (shard_.enabled() && !shard_.owns(trial.index))) {
-          damaged = true;
-          continue;
-        }
-        kept += line;
-        kept += '\n';
-        records_fnv_ = journal_fnv1a(line, records_fnv_);
-        records_fnv_ = journal_fnv1a("\n", records_fnv_);
-        ++record_count_;
-        completed_.emplace(trial.index, std::move(trial));
-      }
-      if (found_seal.has_value() &&
-          (damaged || after_seal || found_seal->trials != record_count_ ||
-           found_seal->fingerprint != records_fnv_)) {
-        throw JournalMismatchError(
-            "campaign journal '" + path_ + "' has a seal footer that does " +
-            "not match its records (seal says " +
-            std::to_string(found_seal->trials) + " trials, file holds " +
-            std::to_string(record_count_) +
-            " intact); the file was damaged in transport, not crashed "
-            "mid-write -- refusing to resume");
-      }
-      // Re-opening for append must never concatenate onto torn bytes or a
-      // seal footer: atomically rewrite the file back to header + intact
-      // records (the seal, if any, was just proven honest and is
-      // re-stamped when this pass completes).
-      if (damaged || found_seal.has_value()) {
-        AtomicFile::write(path_, header_line(key_, shard_) + kept);
-      }
-    }
-  }
-  if (!exists) {
+  std::ifstream in(path_);
+  // A missing or empty file is a fresh campaign; anything else must be
+  // this campaign's journal (a blank first line is an unreadable header,
+  // never a licence to overwrite the file).
+  if (!in || in.peek() == std::ifstream::traits_type::eof()) {
+    in.close();
     AtomicFile::write(path_, header_line(key_, shard_));
+  } else {
+    std::optional<LoadedJournal> loaded = scan_journal(in);
+    in.close();
+    if (!loaded.has_value()) {
+      throw JournalMismatchError("campaign journal '" + path_ +
+                                 "' has an unreadable header; refusing "
+                                 "to resume (delete it to start over)");
+    }
+    const auto mismatch = [&](const std::string& what) {
+      throw JournalMismatchError(
+          "campaign journal '" + path_ + "' belongs to a different " +
+          "campaign (" + what + " differs); refusing to resume");
+    };
+    if (const char* what = campaign_key_mismatch(loaded->key, key_)) {
+      mismatch(what);
+    }
+    if (loaded->shard.count != shard_.count) mismatch("shard count");
+    if (loaded->shard.index != shard_.index) mismatch("shard index");
+    // Loading stops at the first torn line (the scan already did) or the
+    // first record outside this campaign's range or this shard's
+    // ownership -- a crash can only tear the tail.
+    std::size_t intact = 0;
+    while (intact < loaded->trials.size() &&
+           loaded->trials[intact].index < key_.trials &&
+           (!shard_.enabled() || shard_.owns(loaded->trials[intact].index))) {
+      ++intact;
+    }
+    const bool foreign = intact < loaded->trials.size();
+    // A seal that does not vouch for exactly the records kept means the
+    // file lost or gained bytes in transport, not that a worker crashed
+    // early.
+    if (loaded->seal.has_value() && (foreign || !loaded->seal_intact())) {
+      throw JournalMismatchError(
+          "campaign journal '" + path_ + "' has a seal footer that does " +
+          "not match its records (seal says " +
+          std::to_string(loaded->seal->trials) + " trials, file holds " +
+          std::to_string(intact) +
+          " intact); the file was damaged in transport, not crashed "
+          "mid-write -- refusing to resume");
+    }
+    // The seal fingerprints the verbatim bytes of every record line, and
+    // the rewrite below must keep them: the scanner accepts forms (such
+    // as leading-zero integers) that re-serializing would not reproduce.
+    std::string kept;
+    for (std::size_t i = 0; i < intact; ++i) {
+      kept += loaded->lines[i];
+      kept += '\n';
+      completed_.emplace(loaded->trials[i].index,
+                         std::move(loaded->trials[i]));
+    }
+    records_fnv_ = journal_fnv1a(kept, records_fnv_);
+    record_count_ = intact;
+    // Re-opening for append must never concatenate onto torn bytes or a
+    // seal footer: atomically rewrite the file back to header + intact
+    // records (the seal, if any, was just proven honest and is
+    // re-stamped when this pass completes).
+    if (loaded->torn_tail || foreign || loaded->seal.has_value()) {
+      AtomicFile::write(path_, header_line(key_, shard_) + kept);
+    }
   }
 #ifdef __unix__
   out_fd_ = fsio::open_retry(path_, O_WRONLY | O_APPEND, 0644);
@@ -613,40 +618,22 @@ LoadedJournal read_journal_file(const std::string& path) {
     throw std::runtime_error("cannot open journal: '" + path +
                              "': " + std::strerror(errno));
   }
-  LoadedJournal out;
-  std::string line;
-  if (!std::getline(in, line) || line.empty() ||
-      !parse_header_line(line, out.key, out.shard)) {
+  std::optional<LoadedJournal> loaded = scan_journal(in);
+  if (!loaded.has_value()) {
     throw JournalMismatchError("journal '" + path +
                                "' has an unreadable header");
   }
-  while (std::getline(in, line)) {
-    if (out.seal.has_value()) {
-      if (!line.empty()) out.content_after_seal = true;
-      continue;
-    }
-    JournalSeal seal;
-    if (parse_seal_line(line, seal)) {
-      out.seal = seal;
-      continue;
-    }
-    if (out.torn_tail) continue;
-    JournalTrial trial;
-    if (!parse_trial_line(line, trial)) {
-      // Record loading stops at the first torn line, but the scan keeps
-      // looking for a seal: a seal over records that are no longer all
-      // there is transport damage, and seal_intact() must see it.
-      out.torn_tail = true;
-      continue;
-    }
-    // Intact records are returned even when out of range / outside the
-    // shard's ownership: the merge validator rejects those loudly, which
-    // beats silently treating a corrupt journal's trials as missing.
-    out.records_fnv = journal_fnv1a(line, out.records_fnv);
-    out.records_fnv = journal_fnv1a("\n", out.records_fnv);
-    out.trials.push_back(std::move(trial));
-  }
-  return out;
+  return std::move(*loaded);
+}
+
+const char* campaign_key_mismatch(const CampaignKey& found,
+                                  const CampaignKey& expected) {
+  if (found.name != expected.name) return "name";
+  if (found.base_seed != expected.base_seed) return "base seed";
+  if (found.trials != expected.trials) return "trial count";
+  if (found.seed_policy != expected.seed_policy) return "seed policy";
+  if (found.fingerprint != expected.fingerprint) return "config fingerprint";
+  return nullptr;
 }
 
 std::string journal_header_line(const CampaignKey& key,

@@ -88,6 +88,13 @@ std::uint64_t fingerprint_spec(const ExperimentSpec& spec);
 /// The spec's full journal identity (name/seed/trials/policy/fingerprint).
 CampaignKey campaign_key(const ExperimentSpec& spec);
 
+/// The first field in which `found` differs from `expected` ("name",
+/// "base seed", "trial count", "seed policy" or "config fingerprint"), or
+/// nullptr when the keys match. Resume and merge each word their own
+/// refusal around it.
+const char* campaign_key_mismatch(const CampaignKey& found,
+                                  const CampaignKey& expected);
+
 /// Thrown when a journal exists but belongs to a different campaign (or
 /// its header is unreadable, or its seal footer denounces the records).
 class JournalMismatchError : public std::runtime_error {
@@ -115,8 +122,11 @@ class CampaignJournal {
  public:
   /// Open-or-create `path` for `key`. An existing journal is validated
   /// against `key` (JournalMismatchError on mismatch) and its completed
-  /// trials loaded; a missing/empty one is created with an atomically
-  /// written header. Throws std::runtime_error on I/O failure.
+  /// trials loaded (through the same reader as read_journal_file); a
+  /// missing or zero-byte one is created with an atomically written
+  /// header. A non-empty file whose first line is not a header -- blank
+  /// included -- throws JournalMismatchError and is left untouched.
+  /// Throws std::runtime_error on I/O failure.
   ///
   /// `shard` (default: not sharded) stamps the shard spec into the header
   /// and validates it on resume: a shard worker's journal can only be
@@ -181,6 +191,10 @@ struct LoadedJournal {
   CampaignKey key;
   ShardPlan shard;
   std::vector<JournalTrial> trials;
+  /// The verbatim line of each entry of `trials` (no newline): the seal
+  /// and any rewrite need the exact file bytes, which re-serializing a
+  /// parsed record does not always reproduce.
+  std::vector<std::string> lines;
   /// The seal footer, when one was found (regardless of whether it
   /// matches the records -- callers check seal_intact()).
   std::optional<JournalSeal> seal;

@@ -103,14 +103,8 @@ MergeStats merge_journals(const std::vector<std::string>& shard_paths,
       mismatch("not a shard journal: its header carries no shard field",
                path);
     }
-    if (lj.key.name != key.name) mismatch("name differs", path);
-    if (lj.key.base_seed != key.base_seed) mismatch("base seed differs", path);
-    if (lj.key.trials != key.trials) mismatch("trial count differs", path);
-    if (lj.key.seed_policy != key.seed_policy) {
-      mismatch("seed policy differs", path);
-    }
-    if (lj.key.fingerprint != key.fingerprint) {
-      mismatch("config fingerprint differs", path);
+    if (const char* what = campaign_key_mismatch(lj.key, key)) {
+      mismatch(std::string(what) + " differs", path);
     }
     if (!lj.shard.valid()) mismatch("shard index out of range", path);
     // A seal footer, when present, must vouch exactly for the records in
@@ -146,8 +140,8 @@ MergeStats merge_journals(const std::vector<std::string>& shard_paths,
           " is claimed by both '" + it->second + "' and '" + path + "'");
     }
     for (JournalTrial& t : lj.trials) {
-      // read_journal_file already stops at foreign lines; these guards are
-      // belt-and-braces against a hand-edited journal.
+      // read_journal_file returns intact records outside the range or the
+      // shard's ownership: refuse them by name.
       if (t.index >= key.trials || !lj.shard.owns(t.index)) {
         mismatch("trial index " + std::to_string(t.index) +
                      " is outside the shard's ownership",

@@ -82,20 +82,6 @@ void json_kv(std::ostream& os, const char* key, double value,
   if (trailing_comma) os << ", ";
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '\n') {  // exception texts can be multi-line
-      out += "\\n";
-      continue;
-    }
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
 }  // namespace
 
 void write_sweep_json(std::ostream& os, const std::string& bench_name,
@@ -159,6 +145,20 @@ void write_sweep_json(std::ostream& os, const std::string& bench_name,
   os << "}}\n";
   os.flags(flags);
   os.precision(precision);
+}
+
+std::string json_escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  for (char c : s) {
+    if (c == '\n') {  // exception texts can be multi-line
+      out += "\\n";
+      continue;
+    }
+    if (c == '"' || c == '\\') out.push_back('\\');
+    out.push_back(c);
+  }
+  return out;
 }
 
 }  // namespace mmr::sim

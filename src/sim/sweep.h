@@ -206,4 +206,10 @@ void write_sweep_json(std::ostream& os, const std::string& bench_name,
                       std::span<const std::string> labels = {},
                       std::span<const TrialFailure> failures = {});
 
+/// `s` escaped for the body of a JSON string: `"` and `\` gain a
+/// backslash and a newline becomes `\n` (exception texts can be
+/// multi-line). The one escaper of the sweep JSON, the telemetry lines
+/// and the campaign journal.
+std::string json_escape(const std::string& s);
+
 }  // namespace mmr::sim

@@ -11,12 +11,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <cstdio>
+#include <iterator>
 #include <memory>
 #include <vector>
 
 #include "array/geometry.h"
-
+#include "array/pattern_cache.h"
 #include "common/types.h"
 #include "core/controller_base.h"
 #include "core/link_state.h"
@@ -215,6 +217,26 @@ std::size_t network_scoring_allocations(bool bind_workspace) {
   }
   (void)sm.time_in(core::LinkState::kUp);
   return audit.delta();
+}
+
+// Every codebook build and multi-beam synthesis looks its single-beam
+// weights up in the PatternCache, so a hit must build its key on the
+// stack and hand back the shared entry without touching the heap.
+TEST_F(ZeroAllocTest, PatternCacheWarmBeamWeightsHitIsAllocationFree) {
+  array::PatternCache cache;
+  const array::Ula ula{16, 0.5};
+  constexpr double kAngles[] = {-0.6, -0.1, 0.0, 0.35, 0.9};
+  for (double phi : kAngles) (void)cache.beam_weights(ula, phi);  // misses
+  const std::uint64_t hits_before = cache.stats().hits;
+  mmr::testing::AllocationCounter audit;
+  for (int rep = 0; rep < 8; ++rep) {
+    for (double phi : kAngles) {
+      const std::shared_ptr<const CVec> w = cache.beam_weights(ula, phi);
+      EXPECT_EQ(w->size(), ula.num_elements);
+    }
+  }
+  EXPECT_EQ(audit.delta(), 0u) << "a warm PatternCache hit allocated";
+  EXPECT_EQ(cache.stats().hits - hits_before, 8u * std::size(kAngles));
 }
 
 // A CSI probe through a workspace-bound world reuses the cached

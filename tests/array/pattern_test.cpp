@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <limits>
 
 #include "common/angles.h"
 #include "common/units.h"
@@ -94,46 +93,10 @@ TEST(Hpbw, GainAtHalfWidthIsMinus3dB) {
   EXPECT_NEAR(ula_relative_gain_db(16, 0.5, hpbw / 2.0), -3.0, 0.1);
 }
 
-TEST(PatternCut, SamplesRequestedGrid) {
-  const Ula ula{8, 0.5};
-  const CVec w = single_beam_weights(ula, 0.0);
-  const PatternCut cut =
-      pattern_cut(ula, w, deg_to_rad(-60.0), deg_to_rad(60.0), 121);
-  ASSERT_EQ(cut.angle_rad.size(), 121u);
-  EXPECT_NEAR(cut.angle_rad.front(), deg_to_rad(-60.0), 1e-12);
-  EXPECT_NEAR(cut.angle_rad.back(), deg_to_rad(60.0), 1e-12);
-  // Max of the cut is at the center sample (index 60).
-  const auto it =
-      std::max_element(cut.gain_db.begin(), cut.gain_db.end());
-  EXPECT_EQ(it - cut.gain_db.begin(), 60);
-}
-
 TEST(Pattern, MismatchedWeightsThrow) {
   const Ula ula{8, 0.5};
   CVec w(4, cplx{1.0, 0.0});
   EXPECT_THROW(power_gain(ula, w, 0.0), std::logic_error);
-}
-
-TEST(PatternCut, RejectsDegenerateGrids) {
-  const Ula ula{8, 0.5};
-  const CVec w = single_beam_weights(ula, 0.0);
-  // Fewer than two points cannot span an interval.
-  EXPECT_THROW(pattern_cut(ula, w, -1.0, 1.0, 0), std::logic_error);
-  EXPECT_THROW(pattern_cut(ula, w, -1.0, 1.0, 1), std::logic_error);
-  // Reversed and empty bounds.
-  EXPECT_THROW(pattern_cut(ula, w, 1.0, -1.0, 11), std::logic_error);
-  EXPECT_THROW(pattern_cut(ula, w, 0.5, 0.5, 11), std::logic_error);
-  // Non-finite bounds would silently poison the whole grid.
-  const double nan = std::nan("");
-  const double inf = std::numeric_limits<double>::infinity();
-  EXPECT_THROW(pattern_cut(ula, w, nan, 1.0, 11), std::logic_error);
-  EXPECT_THROW(pattern_cut(ula, w, -1.0, inf, 11), std::logic_error);
-  // Weight/aperture mismatch.
-  const CVec bad(4, cplx{1.0, 0.0});
-  EXPECT_THROW(pattern_cut(ula, bad, -1.0, 1.0, 11), std::logic_error);
-  // The minimal valid grid still works.
-  const PatternCut cut = pattern_cut(ula, w, -1.0, 1.0, 2);
-  ASSERT_EQ(cut.gain_db.size(), 2u);
 }
 
 }  // namespace

@@ -1,10 +1,10 @@
-// Differential tests for the batched/cached beamforming kernels: every
-// fast path (dsp/kernels.h, array/pattern_cache.h, the rewired
-// geometry/pattern/wideband callers) is driven with randomized inputs
-// from Rng::fork sub-streams and compared element-wise against a scalar
-// reference that re-states the pre-batching implementation, to a budget
-// of <= 1 ULP. The cache suites additionally require BIT-IDENTICAL
-// results (cached vs uncached vs disabled) and hammer a shared cache
+// Differential tests for the beamforming kernels and the beam-weight
+// cache: every fast path (dsp/kernels.h, array/pattern_cache.h, the
+// rewired geometry/pattern/wideband callers) is driven with randomized
+// inputs from Rng::fork sub-streams and compared element-wise against a
+// scalar reference that re-states the pre-kernel implementation, to a
+// budget of <= 1 ULP. The cache suites additionally require BIT-IDENTICAL
+// results (cached vs directly computed) and hammer a shared cache
 // from a thread pool so the `kernels` ctest label under -DMMR_TSAN=ON
 // proves the sharded storage race-clean.
 #include <gtest/gtest.h>
@@ -23,7 +23,6 @@
 #include "common/angles.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
-#include "common/units.h"
 #include "core/multibeam.h"
 #include "dsp/backend.h"
 #include "dsp/kernels.h"
@@ -84,21 +83,6 @@ cplx ref_array_factor(const Ula& ula, const CVec& weights, double phi_rad) {
   cplx acc{};
   for (std::size_t n = 0; n < a.size(); ++n) acc += a[n] * weights[n];
   return acc;
-}
-
-array::PatternCut ref_pattern_cut(const Ula& ula, const CVec& weights,
-                                  double lo_rad, double hi_rad,
-                                  std::size_t points) {
-  array::PatternCut cut;
-  cut.angle_rad.resize(points);
-  cut.gain_db.resize(points);
-  for (std::size_t i = 0; i < points; ++i) {
-    const double phi = lo_rad + (hi_rad - lo_rad) * static_cast<double>(i) /
-                                    static_cast<double>(points - 1);
-    cut.angle_rad[i] = phi;
-    cut.gain_db[i] = to_db(std::norm(ref_array_factor(ula, weights, phi)));
-  }
-  return cut;
 }
 
 CVec ref_effective_csi(const std::vector<channel::Path>& paths,
@@ -178,32 +162,12 @@ TEST_F(KernelDiff, PhasorRampMatchesScalarReference) {
     const std::size_t n = 1 + rng.uniform_index(96);
     CVec interleaved(n);
     dsp::phasor_ramp(step, n, interleaved.data());
-    RVec re(n), im(n);
-    dsp::phasor_ramp(step, n, re.data(), im.data());
     for (std::size_t i = 0; i < n; ++i) {
       const double ang = -step * static_cast<double>(i);
-      const cplx ref(std::cos(ang), std::sin(ang));
-      audit.compare(interleaved[i], ref, 1);
-      audit.compare(cplx(re[i], im[i]), ref, 1);
-      audit.compare(dsp::unit_phasor(step, i), ref, 1);
+      audit.compare(interleaved[i], cplx(std::cos(ang), std::sin(ang)), 1);
     }
   }
   audit.finish(10000);
-}
-
-TEST_F(KernelDiff, CdotMatchesSequentialAccumulation) {
-  Rng base(0xC0D07ull);
-  UlpAudit audit("cdot");
-  for (std::uint64_t c = 0; c < 400; ++c) {
-    Rng rng = base.fork(c);
-    const std::size_t n = 1 + rng.uniform_index(257);
-    const CVec a = random_cvec(rng, n);
-    const CVec b = random_cvec(rng, n);
-    cplx ref{};
-    for (std::size_t i = 0; i < n; ++i) ref += a[i] * b[i];
-    audit.compare(dsp::cdot(a.data(), b.data(), n), ref, 1);
-  }
-  audit.finish(400);
 }
 
 TEST_F(KernelDiff, DotPhasorRampMatchesMaterializedDot) {
@@ -364,9 +328,9 @@ TEST_F(KernelDiff, SincColumnMatchesSampledSincTaps) {
 // Rewired production functions vs pre-PR scalar references
 // ---------------------------------------------------------------------------
 
-TEST_F(KernelDiff, SteeringVectorAndBatchMatchScalarReference) {
+TEST_F(KernelDiff, SteeringVectorMatchesScalarReference) {
   Rng base(0x57EE41ull);
-  UlpAudit audit("steering_vector[_batch]");
+  UlpAudit audit("steering_vector");
   for (std::uint64_t c = 0; c < 150; ++c) {
     Rng rng = base.fork(c);
     const Ula ula = random_ula(rng);
@@ -374,19 +338,11 @@ TEST_F(KernelDiff, SteeringVectorAndBatchMatchScalarReference) {
     RVec phis(num_angles);
     for (double& p : phis) p = random_angle(rng);
 
-    const dsp::CplxBatch batch = array::steering_vector_batch(ula, phis);
-    ASSERT_EQ(batch.rows(), num_angles);
-    ASSERT_EQ(batch.cols(), ula.num_elements);
     for (std::size_t r = 0; r < num_angles; ++r) {
       const CVec ref = ref_steering(ula, phis[r]);
       const CVec prod = array::steering_vector(ula, phis[r]);
-      const CVec row = batch.row(r);
       for (std::size_t n = 0; n < ula.num_elements; ++n) {
         audit.compare(prod[n], ref[n], 1);
-        audit.compare(batch.at(r, n), ref[n], 1);
-        // Batched and production paths run the identical expression:
-        // they must agree exactly, not just within the ULP budget.
-        audit.compare(row[n], prod[n], 0);
       }
     }
   }
@@ -419,7 +375,7 @@ TEST_F(KernelDiff, WidebandSteeringMatchesScalarReference) {
 
 TEST_F(KernelDiff, ArrayFactorFusedMatchesMaterializedReference) {
   Rng base(0xAF5EEDull);
-  UlpAudit audit("array_factor[_batch]");
+  UlpAudit audit("array_factor");
   for (std::uint64_t c = 0; c < 250; ++c) {
     Rng rng = base.fork(c);
     const Ula ula = random_ula(rng);
@@ -428,14 +384,9 @@ TEST_F(KernelDiff, ArrayFactorFusedMatchesMaterializedReference) {
     RVec phis(num_angles);
     for (double& p : phis) p = random_angle(rng);
 
-    const CVec batch = array::array_factor_batch(ula, w, phis);
-    const RVec gains = array::power_gain_db_batch(ula, w, phis);
     for (std::size_t r = 0; r < num_angles; ++r) {
       const cplx ref = ref_array_factor(ula, w, phis[r]);
-      const cplx prod = array::array_factor(ula, w, phis[r]);
-      audit.compare(prod, ref, 1);
-      audit.compare(batch[r], prod, 0);
-      audit.compare(gains[r], array::power_gain_db(ula, w, phis[r]), 0);
+      audit.compare(array::array_factor(ula, w, phis[r]), ref, 1);
     }
   }
   audit.finish(1000);
@@ -460,28 +411,6 @@ TEST_F(KernelDiff, SingleBeamWeightsMatchesScalarReference) {
     }
   }
   audit.finish(10000);
-}
-
-TEST_F(KernelDiff, PatternCutMatchesScalarReference) {
-  Rng base(0x9A77E2Cull);
-  UlpAudit angle_audit("pattern_cut angles");
-  UlpAudit gain_audit("pattern_cut gains");
-  for (std::uint64_t c = 0; c < 60; ++c) {
-    Rng rng = base.fork(c);
-    const Ula ula = random_ula(rng);
-    const CVec w = random_cvec(rng, ula.num_elements);
-    const double lo = rng.uniform(-kPi / 2.0, 0.0);
-    const double hi = rng.uniform(lo + 0.01, kPi / 2.0);
-    const std::size_t points = 2 + rng.uniform_index(63);
-
-    const array::PatternCut got = array::pattern_cut(ula, w, lo, hi, points);
-    const array::PatternCut ref = ref_pattern_cut(ula, w, lo, hi, points);
-    // The angle grid is exact arithmetic on identical expressions.
-    angle_audit.compare_vec(got.angle_rad, ref.angle_rad, 0);
-    gain_audit.compare_vec(got.gain_db, ref.gain_db, 1);
-  }
-  angle_audit.finish(120);
-  gain_audit.finish(120);
 }
 
 TEST_F(KernelDiff, EffectiveCsiMatchesPrePrReference) {
@@ -533,7 +462,7 @@ TEST_F(KernelDiff, PerAntennaChannelMatchesPrePrReference) {
 // PatternCache: bit-identity, stats, invalidation, thread safety
 // ---------------------------------------------------------------------------
 
-TEST(PatternCacheDiff, BeamWeightsBitIdenticalColdWarmAndDisabled) {
+TEST(PatternCacheDiff, BeamWeightsBitIdenticalColdAndWarm) {
   array::PatternCache cache;
   Rng base(0xCAC8Eull);
   UlpAudit audit("cache beam_weights");
@@ -547,49 +476,13 @@ TEST(PatternCacheDiff, BeamWeightsBitIdenticalColdWarmAndDisabled) {
     const auto warm = cache.beam_weights(ula, phi);  // hit: shared object
     EXPECT_EQ(cold.get(), warm.get());
     audit.compare_vec(*cold, direct, 0);
-
-    cache.set_enabled(false);
-    const auto bypass = cache.beam_weights(ula, phi);
-    cache.set_enabled(true);
-    EXPECT_NE(bypass.get(), cold.get());
-    audit.compare_vec(*bypass, direct, 0);
   }
   audit.finish(100);
-}
-
-TEST(PatternCacheDiff, CutBitIdenticalColdWarmAndDisabled) {
-  array::PatternCache cache;
-  Rng base(0xC07C17ull);
-  UlpAudit audit("cache cut");
-  for (std::uint64_t c = 0; c < 30; ++c) {
-    Rng rng = base.fork(c);
-    const Ula ula = random_ula(rng);
-    const CVec w = random_cvec(rng, ula.num_elements);
-    const double lo = rng.uniform(-kPi / 2.0, 0.0);
-    const double hi = rng.uniform(lo + 0.01, kPi / 2.0);
-    const std::size_t points = 2 + rng.uniform_index(31);
-    const array::PatternCut direct =
-        array::pattern_cut(ula, w, lo, hi, points);
-
-    const auto cold = cache.cut(ula, w, lo, hi, points);
-    const auto warm = cache.cut(ula, w, lo, hi, points);
-    EXPECT_EQ(cold.get(), warm.get());
-    audit.compare_vec(cold->angle_rad, direct.angle_rad, 0);
-    audit.compare_vec(cold->gain_db, direct.gain_db, 0);
-
-    cache.set_enabled(false);
-    const auto bypass = cache.cut(ula, w, lo, hi, points);
-    cache.set_enabled(true);
-    EXPECT_NE(bypass.get(), cold.get());
-    audit.compare_vec(bypass->gain_db, direct.gain_db, 0);
-  }
-  audit.finish(60);
 }
 
 TEST(PatternCacheDiff, StatsCountHitsAndMisses) {
   array::PatternCache cache;
   const Ula ula{16, 0.5};
-  EXPECT_TRUE(cache.enabled());
   EXPECT_EQ(cache.stats().hits, 0u);
   EXPECT_EQ(cache.stats().misses, 0u);
 
@@ -608,17 +501,6 @@ TEST(PatternCacheDiff, StatsCountHitsAndMisses) {
   (void)cache.beam_weights(ula, -0.1);
   (void)cache.beam_weights(Ula{8, 0.5}, 0.1);
   EXPECT_EQ(cache.stats().misses, 4u);
-
-  cache.reset_stats();
-  EXPECT_EQ(cache.stats().hits, 0u);
-  EXPECT_EQ(cache.stats().misses, 0u);
-
-  // Disabled lookups touch neither counter.
-  cache.set_enabled(false);
-  (void)cache.beam_weights(ula, 0.1);
-  cache.set_enabled(true);
-  EXPECT_EQ(cache.stats().hits, 0u);
-  EXPECT_EQ(cache.stats().misses, 0u);
 }
 
 TEST(PatternCacheDiff, ClearKeepsOutstandingResultsValid) {
@@ -651,9 +533,6 @@ TEST(PatternCacheDiff, SharedAcrossThreadsBitIdenticalAndRaceClean) {
     phis[i] = -0.7 + 0.2 * static_cast<double>(i);
     refs[i] = array::single_beam_weights(ula, phis[i]);
   }
-  const CVec probe_w = refs[0];
-  const array::PatternCut cut_ref =
-      array::pattern_cut(ula, probe_w, -1.0, 1.0, 33);
 
   std::atomic<std::size_t> mismatches{0};
   ThreadPool pool(4);
@@ -664,11 +543,6 @@ TEST(PatternCacheDiff, SharedAcrossThreadsBitIdenticalAndRaceClean) {
       const auto w = cache.beam_weights(ula, phis[i]);
       if (!bitwise_equal(*w, refs[i])) mismatches.fetch_add(1);
     }
-    const auto cut = cache.cut(ula, probe_w, -1.0, 1.0, 33);
-    if (cut->gain_db != cut_ref.gain_db ||
-        cut->angle_rad != cut_ref.angle_rad) {
-      mismatches.fetch_add(1);
-    }
   });
   EXPECT_EQ(mismatches.load(), 0u);
   const auto st = cache.stats();
@@ -678,7 +552,7 @@ TEST(PatternCacheDiff, SharedAcrossThreadsBitIdenticalAndRaceClean) {
 
 TEST(PatternCacheDiff, RewiredCallersBitStableAcrossCacheStates) {
   // synthesize_multibeam and Codebook go through the global instance;
-  // their output must not depend on cache state (cold / warm / disabled).
+  // their output must not depend on cache state (cold / warm).
   array::PatternCache& cache = array::PatternCache::instance();
   const Ula ula{16, 0.5};
   const std::vector<core::BeamComponent> comps = {
@@ -687,11 +561,7 @@ TEST(PatternCacheDiff, RewiredCallersBitStableAcrossCacheStates) {
   cache.clear();
   const CVec cold = core::synthesize_multibeam(ula, comps).weights;
   const CVec warm = core::synthesize_multibeam(ula, comps).weights;
-  cache.set_enabled(false);
-  const CVec bypass = core::synthesize_multibeam(ula, comps).weights;
-  cache.set_enabled(true);
   EXPECT_TRUE(bitwise_equal(cold, warm));
-  EXPECT_TRUE(bitwise_equal(cold, bypass));
 
   cache.clear();
   const array::Codebook cb_cold(ula, -1.0, 1.0, 9);
@@ -743,24 +613,18 @@ TEST_P(KernelBackendSweep, PhasorRampWithinDeclaredTolerance) {
     Rng rng = base.fork(c);
     const double step = rng.uniform(-20.0, 20.0);
     const std::size_t n = 1 + rng.uniform_index(192);
-    CVec ref_i(n);
-    RVec ref_re(n), ref_im(n);
+    CVec ref(n);
     {
       dsp::ScopedBackend scalar(dsp::Backend::kScalar);
       ASSERT_TRUE(scalar.ok());
-      dsp::phasor_ramp(step, n, ref_i.data());
-      dsp::phasor_ramp(step, n, ref_re.data(), ref_im.data());
+      dsp::phasor_ramp(step, n, ref.data());
     }
     with_backend([&] {
-      CVec got_i(n);
-      RVec got_re(n), got_im(n);
-      dsp::phasor_ramp(step, n, got_i.data());
-      dsp::phasor_ramp(step, n, got_re.data(), got_im.data());
+      CVec got(n);
+      dsp::phasor_ramp(step, n, got.data());
       for (std::size_t i = 0; i < n; ++i) {
         // Unit phasors: natural scale 1.
-        audit.compare_tol(got_i[i], ref_i[i], tol_.phasor_ramp, 1.0);
-        audit.compare_tol(cplx(got_re[i], got_im[i]),
-                          cplx(ref_re[i], ref_im[i]), tol_.phasor_ramp, 1.0);
+        audit.compare_tol(got[i], ref[i], tol_.phasor_ramp, 1.0);
       }
     });
   }
@@ -769,31 +633,24 @@ TEST_P(KernelBackendSweep, PhasorRampWithinDeclaredTolerance) {
 
 TEST_P(KernelBackendSweep, DotKernelsWithinDeclaredTolerance) {
   Rng base(0xB4C4D07ull);
-  UlpAudit audit(std::string("cdot+dot_phasor_ramp/") +
+  UlpAudit audit(std::string("dot_phasor_ramp/") +
                  std::string(dsp::backend_name(GetParam())));
-  for (std::uint64_t c = 0; c < 5000; ++c) {
+  for (std::uint64_t c = 0; c < 10000; ++c) {
     Rng rng = base.fork(c);
     const std::size_t n = 1 + rng.uniform_index(257);
     const double step = rng.uniform(-20.0, 20.0);
     const CVec a = random_cvec(rng, n);
-    const CVec b = random_cvec(rng, n);
-    double dot_scale = 0.0;
     double ramp_scale = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-      dot_scale += std::abs(a[i]) * std::abs(b[i]);
       ramp_scale += std::abs(a[i]);  // |phasor| == 1
     }
-    cplx ref_dot;
     cplx ref_ramp;
     {
       dsp::ScopedBackend scalar(dsp::Backend::kScalar);
       ASSERT_TRUE(scalar.ok());
-      ref_dot = dsp::cdot(a.data(), b.data(), n);
       ref_ramp = dsp::dot_phasor_ramp(step, a.data(), n);
     }
     with_backend([&] {
-      audit.compare_tol(dsp::cdot(a.data(), b.data(), n), ref_dot, tol_.dot,
-                        dot_scale);
       audit.compare_tol(dsp::dot_phasor_ramp(step, a.data(), n), ref_ramp,
                         tol_.dot, ramp_scale);
     });
@@ -876,49 +733,6 @@ TEST_P(KernelBackendSweep, DelayPhasorsWithinDeclaredTolerance) {
       for (std::size_t k = 0; k < n; ++k) {
         audit.compare_tol(got[k], ref[k], tol_.delay_phasors,
                           std::abs(dst0[k]) + std::abs(alpha));
-      }
-    });
-  }
-  audit.finish(10000);
-}
-
-TEST_P(KernelBackendSweep, BatchedSteeringEvaluatorsWithinTolerance) {
-  // The PatternCache batch evaluators reach the backends through the
-  // dsp kernels; sweep them end-to-end so a backend bug that only shows
-  // through the SoA batch layout is caught here, not in a golden run.
-  Rng base(0xB4C457EEull);
-  UlpAudit audit(std::string("steering/array-factor batch/") +
-                 std::string(dsp::backend_name(GetParam())));
-  for (std::uint64_t c = 0; c < 200; ++c) {
-    Rng rng = base.fork(c);
-    const Ula ula = random_ula(rng);
-    const CVec w = random_cvec(rng, ula.num_elements);
-    const std::size_t num_angles = 1 + rng.uniform_index(12);
-    RVec phis(num_angles);
-    for (double& p : phis) p = random_angle(rng);
-
-    std::vector<CVec> ref_rows(num_angles);
-    CVec ref_af;
-    {
-      dsp::ScopedBackend scalar(dsp::Backend::kScalar);
-      ASSERT_TRUE(scalar.ok());
-      const dsp::CplxBatch ref_batch = array::steering_vector_batch(ula, phis);
-      for (std::size_t r = 0; r < num_angles; ++r) {
-        ref_rows[r] = ref_batch.row(r);
-      }
-      ref_af = array::array_factor_batch(ula, w, phis);
-    }
-    double w_scale = 0.0;
-    for (const cplx& v : w) w_scale += std::abs(v);
-    with_backend([&] {
-      const dsp::CplxBatch batch = array::steering_vector_batch(ula, phis);
-      const CVec af = array::array_factor_batch(ula, w, phis);
-      for (std::size_t r = 0; r < num_angles; ++r) {
-        for (std::size_t e = 0; e < ula.num_elements; ++e) {
-          audit.compare_tol(batch.at(r, e), ref_rows[r][e], tol_.phasor_ramp,
-                            1.0);
-        }
-        audit.compare_tol(af[r], ref_af[r], tol_.dot, w_scale);
       }
     });
   }

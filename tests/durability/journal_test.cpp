@@ -185,6 +185,31 @@ TEST_F(JournalTest, GarbageHeaderIsRejected) {
                JournalMismatchError);
 }
 
+TEST_F(JournalTest, BlankFirstLineIsRejectedAndLeftUntouched) {
+  // Only a missing or zero-byte file is a fresh campaign. A non-empty file
+  // whose first line is blank is not this campaign's journal; overwriting
+  // it with a new header would silently destroy whatever it holds.
+  const CampaignKey key = campaign_key(demo_spec());
+  const std::string content = "\n" + journal_header_line(key) +
+                              journal_trial_line(demo_trial(2));
+  {
+    std::ofstream out(path_, std::ios::binary);
+    out << content;
+  }
+  try {
+    CampaignJournal journal(path_, key);
+    FAIL() << "resumed a journal whose first line is blank";
+  } catch (const JournalMismatchError& e) {
+    EXPECT_NE(std::string(e.what()).find("unreadable header"),
+              std::string::npos)
+        << e.what();
+  }
+  std::ifstream in(path_, std::ios::binary);
+  std::ostringstream os;
+  os << in.rdbuf();
+  EXPECT_EQ(os.str(), content);
+}
+
 TEST_F(JournalTest, UnknownExtraHeaderFieldIsRejectedAsUnreadable) {
   // Forward-compat contract: the header parser is strict and positional,
   // so a journal written by a FUTURE format that appends an extra header

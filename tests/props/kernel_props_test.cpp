@@ -1,9 +1,6 @@
 // Property-based kernel/arena invariants (>= 1000 Rng::fork cases each),
 // swept across every compiled-and-executable kernel backend:
 //   * phasor ramps are unit-modulus per element on every backend,
-//   * cdot is exactly commutative and exactly conjugation-equivariant
-//     (sign symmetry of IEEE rounding makes both bit-exact even for the
-//     FMA backends),
 //   * axpy is linear in alpha within the declared backend tolerance,
 //   * Arena reset/reuse is address-stable, and a trial rerun on a reset
 //     workspace -- or with no workspace at all -- is bit-identical.
@@ -56,61 +53,6 @@ TEST(KernelProps, PhasorRampIsUnitModulusOnEveryBackend) {
         ASSERT_NEAR(std::norm(ramp[k]), 1.0, 1e-14)
             << dsp::backend_name(b) << " case " << i << " element " << k;
       }
-    }
-  });
-}
-
-TEST(KernelProps, CdotIsCommutativeWithinBackendTolerance) {
-  testing::for_each_supported_backend([](dsp::Backend b) {
-    dsp::ScopedBackend scoped(b);
-    ASSERT_TRUE(scoped.ok());
-    // NOT bit-exact on FMA backends: fmaddsub keeps one partial product
-    // of each complex multiply unrounded, and WHICH one depends on the
-    // operand order, so swapping the arguments perturbs the imaginary
-    // part by ~1 ulp per element. Commutativity therefore holds within
-    // the backend's dot tolerance, with a small ULP floor for scalar.
-    const dsp::Tolerance declared = dsp::tolerances(b).dot;
-    const dsp::Tolerance tol{std::max<std::uint64_t>(declared.max_ulp, 16),
-                             declared.abs_tol + 1e-14};
-    mmr::testing::UlpAudit audit(std::string("cdot commutativity on ") +
-                                 std::string(dsp::backend_name(b)));
-    const Rng base(kBaseSeed + 1);
-    for (std::size_t i = 0; i < kCases; ++i) {
-      Rng rng = base.fork(i);
-      const std::size_t n = rng.uniform_index(200);
-      const CVec a = random_cvec(rng, n);
-      const CVec v = random_cvec(rng, n);
-      const cplx ab = dsp::cdot(a.data(), v.data(), n);
-      const cplx ba = dsp::cdot(v.data(), a.data(), n);
-      double scale = 1e-30;
-      for (std::size_t k = 0; k < n; ++k) scale += std::abs(a[k]) * std::abs(v[k]);
-      audit.compare_tol(ab, ba, tol, scale);
-    }
-    audit.finish(1000);
-  });
-}
-
-TEST(KernelProps, CdotIsExactlyConjugationEquivariantOnEveryBackend) {
-  testing::for_each_supported_backend([](dsp::Backend b) {
-    dsp::ScopedBackend scoped(b);
-    ASSERT_TRUE(scoped.ok());
-    const Rng base(kBaseSeed + 2);
-    for (std::size_t i = 0; i < kCases; ++i) {
-      Rng rng = base.fork(i);
-      const std::size_t n = rng.uniform_index(200);
-      const CVec a = random_cvec(rng, n);
-      const CVec v = random_cvec(rng, n);
-      CVec ac(n), vc(n);
-      for (std::size_t k = 0; k < n; ++k) {
-        ac[k] = std::conj(a[k]);
-        vc[k] = std::conj(v[k]);
-      }
-      const cplx d = dsp::cdot(a.data(), v.data(), n);
-      const cplx dc = dsp::cdot(ac.data(), vc.data(), n);
-      // Conjugating both inputs only flips signs; IEEE rounding is sign
-      // symmetric, so conj(cdot(a,v)) == cdot(conj a, conj v) exactly.
-      ASSERT_EQ(dc.real(), d.real()) << dsp::backend_name(b) << " case " << i;
-      ASSERT_EQ(dc.imag(), -d.imag()) << dsp::backend_name(b) << " case " << i;
     }
   });
 }

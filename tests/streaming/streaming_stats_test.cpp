@@ -1,5 +1,5 @@
 // Unit tests for the O(1) streaming accumulators (common/streaming_stats.h):
-// StreamingMoments against the batch OnlineStats, Chan's parallel merge,
+// StreamingMoments against a two-pass recompute, Chan's parallel merge,
 // exact P² behavior on small streams, and the integer availability /
 // outage counters with their windowed view.
 #include <gtest/gtest.h>
@@ -8,32 +8,64 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "common/rng.h"
-#include "common/stats.h"
 #include "common/streaming_stats.h"
 
 namespace {
 
 using namespace mmr;
 
-TEST(StreamingMoments, MatchesOnlineStatsOnTheSameStream) {
+TEST(StreamingMoments, MatchesNaiveComputation) {
+  const std::vector<double> xs{1.0, 2.0, 4.0, 8.0, 16.0};
+  StreamingMoments s;
+  for (double x : xs) s.add(x);
+  EXPECT_EQ(s.count(), 5u);
+  EXPECT_NEAR(s.mean(), 6.2, 1e-12);
+  // Sample variance: sum (x - 6.2)^2 / 4 = 148.8 / 4.
+  EXPECT_NEAR(s.variance(), 37.2, 1e-9);
+  EXPECT_NEAR(s.min(), 1.0, 0.0);
+  EXPECT_NEAR(s.max(), 16.0, 0.0);
+}
+
+TEST(StreamingMoments, SingleSampleHasZeroVariance) {
+  StreamingMoments s;
+  s.add(3.0);
+  EXPECT_EQ(s.variance(), 0.0);
+  EXPECT_EQ(s.stddev(), 0.0);
+}
+
+TEST(StreamingMoments, EmptyThrowsOnMean) {
+  StreamingMoments s;
+  EXPECT_THROW(s.mean(), std::logic_error);
+  EXPECT_THROW(s.min(), std::logic_error);
+}
+
+TEST(StreamingMoments, MatchesTwoPassRecompute) {
   Rng rng(0x517EA);
   StreamingMoments streaming;
-  OnlineStats batch;
+  std::vector<double> xs;
   for (int i = 0; i < 5000; ++i) {
     const double x = rng.normal(3.0, 2.5);
     streaming.add(x);
-    batch.add(x);
+    xs.push_back(x);
   }
-  EXPECT_EQ(streaming.count(), batch.count());
-  EXPECT_EQ(streaming.min(), batch.min());
-  EXPECT_EQ(streaming.max(), batch.max());
-  EXPECT_NEAR(streaming.mean(), batch.mean(), 1e-12 * std::abs(batch.mean()));
-  EXPECT_NEAR(streaming.variance(), batch.variance(),
-              1e-10 * batch.variance());
-  EXPECT_NEAR(streaming.stddev(), batch.stddev(), 1e-10 * batch.stddev());
+  // Exact two-pass reference: the mean first, then the squared deviations.
+  double sum = 0.0;
+  for (double x : xs) sum += x;
+  const double mean = sum / static_cast<double>(xs.size());
+  double ss = 0.0;
+  for (double x : xs) ss += (x - mean) * (x - mean);
+  const double variance = ss / static_cast<double>(xs.size() - 1);
+  EXPECT_EQ(streaming.count(), xs.size());
+  EXPECT_EQ(streaming.min(), *std::min_element(xs.begin(), xs.end()));
+  EXPECT_EQ(streaming.max(), *std::max_element(xs.begin(), xs.end()));
+  EXPECT_NEAR(streaming.mean(), mean, 1e-12 * std::abs(mean));
+  EXPECT_NEAR(streaming.variance(), variance, 1e-10 * variance);
+  EXPECT_NEAR(streaming.stddev(), std::sqrt(variance),
+              1e-10 * std::sqrt(variance));
 }
 
 TEST(StreamingMoments, EmptyAndSingletonEdgeCases) {
