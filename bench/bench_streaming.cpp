@@ -94,7 +94,7 @@ class BenchSink final : public sim::TelemetrySink {
   /// spec (byte-identical across --jobs; thread stacks alone shift
   /// VmRSS).
   BenchSink(std::ostream& os, std::size_t flush_every_n, bool freeze_timing)
-      : json_(os, false, flush_every_n), os_(os), freeze_(freeze_timing) {}
+      : json_(os, flush_every_n), os_(os), freeze_(freeze_timing) {}
 
   void on_snapshot(const sim::StreamSnapshot& s) override {
     json_.on_snapshot(s);

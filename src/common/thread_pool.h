@@ -1,19 +1,20 @@
-// Work-stealing thread pool for trial-level parallelism.
+// Fixed-size thread pool for trial-level parallelism.
 //
-// Each worker owns a deque: it pops its own work LIFO (cache-warm) and
-// steals FIFO from siblings when idle, so uneven trial durations balance
-// without a central bottleneck. The pool makes no ordering promises --
-// determinism is the caller's job (see sim::SweepRunner, which gives every
-// trial an independent seed-derived Rng stream and writes results into
-// index-addressed slots).
+// The pool's one operation is parallel_for: persistent workers claim
+// indices from one shared atomic counter, so uneven trial durations
+// balance dynamically (a worker stuck on a long trial never holds back
+// the rest), and a call allocates nothing -- the body is passed by a
+// non-owning reference, not packaged per index. The pool makes no
+// ordering promises; determinism is the caller's job (see
+// sim::SweepRunner, which gives every trial an independent seed-derived
+// Rng stream and writes results into index-addressed slots).
 #pragma once
 
 #include <atomic>
+#include <concepts>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
-#include <functional>
-#include <future>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -24,11 +25,30 @@ namespace mmr {
 
 class ThreadPool {
  public:
+  /// Non-owning reference to a callable `void(std::size_t)`; it refers
+  /// to the caller's callable, which outlives the parallel_for call.
+  class IndexFn {
+   public:
+    template <typename F>
+      requires(!std::same_as<std::remove_cvref_t<F>, IndexFn> &&
+               std::invocable<F&, std::size_t>)
+    IndexFn(F&& f)  // NOLINT(google-explicit-constructor)
+        : obj_(const_cast<void*>(static_cast<const void*>(std::addressof(f)))),
+          call_([](void* obj, std::size_t i) {
+            (*static_cast<std::remove_reference_t<F>*>(obj))(i);
+          }) {}
+
+    void operator()(std::size_t i) const { call_(obj_, i); }
+
+   private:
+    void* obj_;
+    void (*call_)(void*, std::size_t);
+  };
+
   /// Spawn `num_threads` workers; 0 means hardware_jobs().
   explicit ThreadPool(std::size_t num_threads = 0);
 
-  /// Drains every queued task, then joins the workers. Work submitted
-  /// before destruction is guaranteed to run.
+  /// Joins the workers (no call is in flight: parallel_for blocks).
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -36,44 +56,38 @@ class ThreadPool {
 
   std::size_t size() const { return workers_.size(); }
 
-  /// Submit a nullary callable; the future carries its result or its
-  /// exception.
-  template <typename F>
-  auto submit(F&& f) -> std::future<std::invoke_result_t<std::decay_t<F>>> {
-    using R = std::invoke_result_t<std::decay_t<F>>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(f));
-    std::future<R> future = task->get_future();
-    enqueue([task] { (*task)(); });
-    return future;
-  }
-
-  /// Run body(i) for every i in [0, n) across the pool and block until all
-  /// complete. If any invocation throws, the exception from the lowest
-  /// index is rethrown (the remaining iterations still run). Must be
+  /// Run body(i) for every i in [0, n) on the pool's workers and block
+  /// until all complete. If any invocation throws, the exception from the
+  /// lowest index is rethrown (the remaining iterations still run).
+  /// Concurrent calls from several threads run one after another. Must be
   /// called from outside the pool's own workers.
-  void parallel_for(std::size_t n,
-                    const std::function<void(std::size_t)>& body);
+  void parallel_for(std::size_t n, IndexFn body);
 
   /// Hardware concurrency, clamped to at least 1.
   static std::size_t hardware_jobs();
 
  private:
-  struct WorkerQueue {
-    std::mutex mutex;
-    std::deque<std::function<void()>> tasks;
-  };
+  void worker_loop();
 
-  void enqueue(std::function<void()> task);
-  bool try_pop(std::size_t worker, std::function<void()>& task);
-  void worker_loop(std::size_t worker);
-
-  std::vector<std::unique_ptr<WorkerQueue>> queues_;
+  /// Serializes parallel_for calls: the pool runs one index range at a
+  /// time.
+  std::mutex call_mutex_;
+  /// Guards the current range and the workers' bookkeeping below.
+  std::mutex mutex_;
+  std::condition_variable wake_;  ///< a new range, or stop
+  std::condition_variable done_;  ///< the last worker left the range
+  const IndexFn* body_ = nullptr;
+  std::size_t n_ = 0;
+  std::size_t generation_ = 0;
+  std::size_t busy_ = 0;  ///< workers not yet done with this range
+  bool stop_ = false;
+  std::exception_ptr error_;  ///< lowest-index exception of the range
+  std::size_t error_index_ = 0;
+  /// Next unclaimed index of the current range (claimed without mutex_;
+  /// reset under it between ranges).
+  std::atomic<std::size_t> next_{0};
+  /// Declared last: the workers use every member above.
   std::vector<std::thread> workers_;
-  std::atomic<std::size_t> next_queue_{0};
-  std::atomic<std::size_t> pending_{0};
-  std::mutex wake_mutex_;
-  std::condition_variable wake_;
-  bool stop_ = false;  // guarded by wake_mutex_
 };
 
 }  // namespace mmr

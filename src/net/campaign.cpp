@@ -22,7 +22,7 @@ NetworkCampaignResult run_network_campaign(const NetworkCampaignSpec& spec,
   result.trials = runner.run([&](sim::TrialContext& ctx) {
     sim::TrialWorkspace workspace;
     Network network(spec.network, ctx.stream_seed, &workspace);
-    NetworkResult outcome = network.run(nullptr);
+    NetworkResult outcome = network.run();
     const core::LinkSummary summary = outcome.network;
     // Index-addressed slot: no cross-thread ordering dependence.
     result.details[ctx.index] = std::move(outcome);
@@ -41,7 +41,6 @@ NetworkCampaignResult run_network_campaign(const NetworkCampaignSpec& spec,
       for (const core::HandoverEvent& ev : detail.handovers) {
         sink->on_handover(ev);
       }
-      sink->on_run_end(result.trials[i].value);
     }
     sim::SweepRecord record;
     record.name = spec.name;

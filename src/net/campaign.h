@@ -45,10 +45,9 @@ struct NetworkCampaignResult {
 /// Run the campaign. Trials execute on the sweep runner (jobs=K replay of
 /// jobs=1, bit for bit); each trial builds its own Network from
 /// ctx.stream_seed with a trial-local workspace. When `sink` is non-null
-/// it receives, after the barrier and in trial-index order: every link's
-/// fault events (link order), every handover (time order), on_run_end
-/// with the trial's network summary -- then one on_sweep record
-/// (identical to the engine's for a single-link network).
+/// it receives, after the barrier and in trial-index order, every link's
+/// fault events (link order) and every handover (time order) -- then one
+/// on_sweep record (identical to the engine's for a single-link network).
 NetworkCampaignResult run_network_campaign(const NetworkCampaignSpec& spec,
                                            sim::TelemetrySink* sink = nullptr);
 

@@ -444,12 +444,12 @@ void Network::step_tick(double t_s) {
   if (spec_.handover.enabled && spec_.num_cells > 1) handover_pass(t_s);
 }
 
-NetworkResult Network::run(sim::TelemetrySink* sink) {
+NetworkResult Network::run() {
   begin();
   for (std::size_t i = 0; i < spec_.run.num_ticks(); ++i) {
     step_tick(static_cast<double>(i) * spec_.run.tick_s);
   }
-  return finish(sink);
+  return finish();
 }
 
 NetworkResult Network::finish(sim::TelemetrySink* sink) {

@@ -14,8 +14,8 @@
 // co-cell session's) beam choice degrades my SINR. Handover: per-tick
 // sync-beam RSRP toward every cell; a neighbor sustaining
 // hysteresis_db above the serving cell for time_to_trigger_s takes the
-// session (HandoverEvent through TelemetrySink::on_handover), which
-// rebuilds the cell-local world and restarts the controller.
+// session (a HandoverEvent in NetworkResult::handovers), which rebuilds
+// the cell-local world and restarts the controller.
 //
 // Single-link collapse: every session builds, wires faults, ticks and
 // scores through sim::LinkSession, the code run_experiment runs, and
@@ -124,7 +124,7 @@ struct NetworkResult {
 /// SINR.
 ///
 /// Resumable-step contract: run() is a thin wrapper over
-///   begin();  step_tick(t) for each tick;  finish(sink);
+///   begin();  step_tick(t) for each tick;  finish();
 /// so a stepped run is the batch run (tests/net checks the result).
 /// Callers that own the timeline -- the streaming service -- drive
 /// step_tick directly, join()/leave() sessions between ticks (churn), and
@@ -145,10 +145,9 @@ class Network {
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
-  /// Run the shared timeline. When `sink` is non-null, handover events
-  /// stream to sink->on_handover (in time order, after the run -- one
-  /// thread, deterministic).
-  NetworkResult run(sim::TelemetrySink* sink = nullptr);
+  /// Run the shared timeline; handover events come back in
+  /// NetworkResult::handovers (time order).
+  NetworkResult run();
 
   // --- Resumable-step interface -------------------------------------
   /// Validate the run config and reset per-run state (sample buffers,
@@ -162,6 +161,8 @@ class Network {
   void step_tick(double t_s);
   /// Close every live session's availability ledger at the configured
   /// duration and aggregate reports. run() == begin + ticks + finish.
+  /// When `sink` is non-null, the handover events also stream to
+  /// sink->on_handover (time order, one thread).
   NetworkResult finish(sim::TelemetrySink* sink = nullptr);
 
   // --- Streaming session table --------------------------------------

@@ -344,11 +344,11 @@ EngineResult run_campaign(ExperimentSpec spec, const SweepCliOptions& opts) {
   eng_opts.trial_retries = opts.trial_retries;
   eng_opts.freeze_timing = opts.freeze_timing;
   // Distributed roles journal every trial, and journals cannot replay
-  // per-tick samples. Dropping them does not change the JSON record
-  // (JsonLinesSink only reads samples in per-tick mode), so the merged
-  // output stays byte-identical to the 1-process run. Forced BEFORE
-  // campaign_key: record_samples is fingerprinted, and worker and merger
-  // must agree on it.
+  // per-tick samples. Dropping them does not change the JSON record (no
+  // sink event carries samples), so the merged output stays
+  // byte-identical to the 1-process run. Forced BEFORE campaign_key:
+  // record_samples is fingerprinted, and worker and merger must agree
+  // on it.
   if (distributed_role(opts)) spec.record_samples = false;
   std::unique_ptr<CampaignJournal> journal;
   if (!opts.merge.empty()) {

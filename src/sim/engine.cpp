@@ -264,9 +264,6 @@ EngineResult Engine::run(const ExperimentSpec& spec, TelemetrySink* sink,
   if (spec.label) result.labels.assign(spec.trials, "");
   if (spec.record_samples) result.samples.resize(spec.trials);
   result.fault_events.resize(spec.trials);
-  // Per-trial RunConfigs survive the sweep so the sink replay can emit
-  // faithful on_run_begin events (customize may vary them per trial).
-  std::vector<RunConfig> run_configs(spec.trials);
   // Index-addressed failure slots (workers never share a slot).
   std::vector<std::unique_ptr<TrialFailure>> failure_slots(spec.trials);
   const std::map<std::size_t, JournalTrial>* journaled =
@@ -292,7 +289,6 @@ EngineResult Engine::run(const ExperimentSpec& spec, TelemetrySink* sink,
         const JournalTrial& jt = it->second;
         if (spec.label) result.labels[ctx.index] = jt.label;
         result.fault_events[ctx.index] = jt.faults;
-        run_configs[ctx.index] = spec.run;
         return jt.summary;
       }
     }
@@ -324,7 +320,6 @@ EngineResult Engine::run(const ExperimentSpec& spec, TelemetrySink* sink,
         if (rc.faults.enabled()) {
           rc.faults.seed = link_fault_seed(rc.faults.seed, ctx.stream_seed);
         }
-        run_configs[ctx.index] = rc;
 
         const auto start = std::chrono::steady_clock::now();
         const double cpu_start = thread_cpu_now_s();
@@ -411,10 +406,6 @@ EngineResult Engine::run(const ExperimentSpec& spec, TelemetrySink* sink,
   if (sink != nullptr) {
     std::size_t next_failure = 0;
     for (std::size_t i = 0; i < result.trials.size(); ++i) {
-      if (spec.record_samples) {
-        sink->on_run_begin(run_configs[i]);
-        for (const core::LinkSample& s : result.samples[i]) sink->on_sample(s);
-      }
       for (const core::FaultEvent& ev : result.fault_events[i]) {
         sink->on_fault(ev);
       }
@@ -423,7 +414,6 @@ EngineResult Engine::run(const ExperimentSpec& spec, TelemetrySink* sink,
         sink->on_trial_failure(result.failures[next_failure]);
         ++next_failure;
       }
-      sink->on_run_end(result.trials[i].value);
     }
     SweepRecord record;
     record.name = spec.name;

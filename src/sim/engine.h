@@ -161,8 +161,8 @@ struct ExperimentSpec {
   std::uint64_t seed = 1;
   SeedPolicy seed_policy = SeedPolicy::kPerTrialStream;
 
-  /// Keep per-tick samples (and replay them to the sink). Off by default:
-  /// big sweeps only need summaries.
+  /// Keep per-tick samples in EngineResult::samples. Off by default: big
+  /// sweeps only need summaries.
   bool record_samples = false;
 
   /// Per-trial hook, run after the seed policy: mutate the copied specs
@@ -237,10 +237,9 @@ struct EngineResult {
 class Engine {
  public:
   /// Run the campaign. When `sink` is non-null it receives, after the
-  /// sweep barrier and in trial-index order: per-trial run events
-  /// (on_run_begin/on_sample... when record_samples, then any on_fault
-  /// events, then on_trial_failure for a quarantined trial, then
-  /// on_run_end) followed by one on_sweep record.
+  /// sweep barrier and in trial-index order, each trial's on_fault events
+  /// and then on_trial_failure for a quarantined trial, followed by one
+  /// on_sweep record.
   ///
   /// Fault seeding: a live spec.run.faults (after `customize`) runs under
   /// link_fault_seed(seed, ctx.stream_seed) -- seed 0 derives a per-trial

@@ -7,7 +7,6 @@
 #include "phy/link_budget.h"
 #include "phy/mcs.h"
 #include "sim/engine.h"
-#include "sim/telemetry.h"
 
 namespace mmr::sim {
 
@@ -99,23 +98,20 @@ core::LinkSample LinkSession::score(double t_s, double protocol_overhead,
 }
 
 RunResult run_experiment(LinkWorld& world, core::BeamController& controller,
-                         const RunConfig& config, TelemetrySink* sink) {
+                         const RunConfig& config) {
   LinkSession link(world, controller);
-  return run_experiment(link, config, sink);
+  return run_experiment(link, config);
 }
 
-RunResult run_experiment(LinkSession& link, const RunConfig& config,
-                         TelemetrySink* sink) {
+RunResult run_experiment(LinkSession& link, const RunConfig& config) {
   config.validate();
-  if (sink != nullptr) sink->on_run_begin(config);
 
   RunResult result;
   // The injector is only constructed when the plan is live, so a disabled
   // plan leaves this function's behavior (and output bytes) untouched.
   if (config.faults.enabled()) {
-    link.arm_faults(config.faults, [&result, sink](const core::FaultEvent& ev) {
+    link.arm_faults(config.faults, [&result](const core::FaultEvent& ev) {
       result.fault_events.push_back(ev);
-      if (sink != nullptr) sink->on_fault(ev);
     });
   }
 
@@ -125,7 +121,6 @@ RunResult run_experiment(LinkSession& link, const RunConfig& config,
     const double t = static_cast<double>(i) * config.tick_s;
     link.advance(t);
     result.samples.push_back(link.score(t, config.protocol_overhead));
-    if (sink != nullptr) sink->on_sample(result.samples.back());
   }
   // The listener captures locals of this frame; detach it before they go
   // out of scope (the controller may outlive this call).
@@ -133,7 +128,6 @@ RunResult run_experiment(LinkSession& link, const RunConfig& config,
   result.summary = core::summarize_link(
       result.samples, config.outage_snr_db,
       link.world().config().spec.bandwidth_hz);
-  if (sink != nullptr) sink->on_run_end(result.summary);
   return result;
 }
 

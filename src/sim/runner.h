@@ -20,7 +20,6 @@ namespace mmr::sim {
 
 struct ScenarioSpec;
 struct ControllerSpec;
-class TelemetrySink;
 class TrialWorkspace;
 
 struct RunConfig {
@@ -119,20 +118,14 @@ class LinkSession {
 
 /// Run `controller` over `world` for the configured duration through a
 /// LinkSession: start()ed at t=0, step()ped every tick, each tick scored.
-/// `config` is validated up front (RunConfig::validate).
-///
-/// When `sink` is non-null it receives on_run_begin, one on_sample per
-/// tick, and on_run_end with the summary -- the telemetry never perturbs
-/// the result. When `config.faults` is enabled (its seed used as is),
-/// every injected fault / controller degradation is recorded in
-/// RunResult::fault_events and streamed to sink->on_fault as it happens.
+/// `config` is validated up front (RunConfig::validate). When
+/// `config.faults` is enabled (its seed used as is), every injected fault
+/// / controller degradation is recorded in RunResult::fault_events.
 RunResult run_experiment(LinkWorld& world, core::BeamController& controller,
-                         const RunConfig& config = {},
-                         TelemetrySink* sink = nullptr);
+                         const RunConfig& config = {});
 
 /// The same run over a LinkSession that has not ticked yet (the engine
 /// trial builds its link through the registries this way).
-RunResult run_experiment(LinkSession& link, const RunConfig& config,
-                         TelemetrySink* sink = nullptr);
+RunResult run_experiment(LinkSession& link, const RunConfig& config);
 
 }  // namespace mmr::sim

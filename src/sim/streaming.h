@@ -17,7 +17,7 @@
 //     engine's link-0 convention; shard k > 0 from Rng::derive_stream_seed),
 //     its churn from a dedicated sub-stream -- so what each shard computes
 //     is a pure function of the spec.
-//   * jobs only parallelizes the per-epoch shard sweep over the PR-1
+//   * jobs only parallelizes the per-epoch shard sweep over the
 //     ThreadPool; accumulators are shard-local and fold in SHARD-INDEX
 //     ORDER on the orchestrator thread at every snapshot boundary. With
 //     freeze_timing (zeroing the wall-clock-derived rate field), jobs=K
@@ -134,7 +134,7 @@ class StreamingService {
   /// inline on the calling thread and the steady-state loop is
   /// allocation-free (no churn, no snapshot boundary, slot capacities
   /// plateaued -- pinned by the alloc tier); jobs>1 fans the sweep over
-  /// the pool at the cost of per-epoch task packaging.
+  /// the pool, which allocates nothing per epoch either.
   void step_epoch();
   /// Emit a final snapshot if the last window is non-empty and return
   /// the totals.

@@ -1,58 +1,6 @@
 #include "sim/telemetry.h"
 
-#include "common/error.h"
-#include "sim/runner.h"
-
 namespace mmr::sim {
-
-void MemorySink::on_run_begin(const RunConfig& /*config*/) {
-  runs_.emplace_back();
-  faults_.emplace_back();
-  handovers_.emplace_back();
-}
-
-void MemorySink::on_sample(const core::LinkSample& sample) {
-  // Tolerate callers that emit samples without a preceding on_run_begin
-  // (e.g. hand-driven loops): open an implicit run.
-  if (runs_.empty()) {
-    runs_.emplace_back();
-    faults_.emplace_back();
-    handovers_.emplace_back();
-  }
-  runs_.back().push_back(sample);
-}
-
-void MemorySink::on_fault(const core::FaultEvent& event) {
-  if (faults_.empty()) {
-    runs_.emplace_back();
-    faults_.emplace_back();
-    handovers_.emplace_back();
-  }
-  faults_.back().push_back(event);
-}
-
-void MemorySink::on_handover(const core::HandoverEvent& event) {
-  if (handovers_.empty()) {
-    runs_.emplace_back();
-    faults_.emplace_back();
-    handovers_.emplace_back();
-  }
-  handovers_.back().push_back(event);
-}
-
-void MemorySink::on_trial_failure(const TrialFailure& failure) {
-  trial_failures_.push_back(failure);
-}
-
-void MemorySink::on_snapshot(const StreamSnapshot& snapshot) {
-  snapshots_.push_back(snapshot);
-}
-
-void MemorySink::on_run_end(const core::LinkSummary& summary) {
-  summaries_.push_back(summary);
-}
-
-void MemorySink::on_sweep(const SweepRecord& /*record*/) { ++num_sweeps_; }
 
 void JsonLinesSink::record_written() {
   if (flush_every_n_ == 0) return;  // never flush mid-stream
@@ -94,20 +42,6 @@ void JsonLinesSink::on_snapshot(const StreamSnapshot& s) {
   record_written();
 }
 
-void JsonLinesSink::on_sample(const core::LinkSample& sample) {
-  if (!per_tick_) return;
-  const auto flags = os_.flags();
-  const auto precision = os_.precision();
-  os_.precision(10);
-  os_ << "{\"t_s\": " << sample.t_s << ", \"snr_db\": " << sample.snr_db
-      << ", \"throughput_bps\": " << sample.throughput_bps
-      << ", \"available\": " << (sample.available ? "true" : "false")
-      << "}\n";
-  os_.flags(flags);
-  os_.precision(precision);
-  record_written();
-}
-
 void JsonLinesSink::on_fault(const core::FaultEvent& event) {
   const auto flags = os_.flags();
   const auto precision = os_.precision();
@@ -139,8 +73,7 @@ void JsonLinesSink::on_handover(const core::HandoverEvent& event) {
 void JsonLinesSink::on_trial_failure(const TrialFailure& failure) {
   os_ << "{\"trial_failure\": {\"index\": " << failure.index
       << ", \"stream_seed\": " << failure.stream_seed
-      << ", \"attempts\": " << failure.attempts
-      << ", \"quarantined\": true, \"error\": \""
+      << ", \"attempts\": " << failure.attempts << ", \"error\": \""
       << json_escape(failure.error) << "\"}}\n";
   record_written();
 }
@@ -149,43 +82,6 @@ void JsonLinesSink::on_sweep(const SweepRecord& record) {
   write_sweep_json(os_, record.name, record.trials, record.timing,
                    record.labels, record.failures);
   record_written();
-}
-
-void FanoutSink::add(TelemetrySink* sink) {
-  MMR_EXPECTS(sink != nullptr);
-  sinks_.push_back(sink);
-}
-
-void FanoutSink::on_run_begin(const RunConfig& config) {
-  for (TelemetrySink* s : sinks_) s->on_run_begin(config);
-}
-
-void FanoutSink::on_sample(const core::LinkSample& sample) {
-  for (TelemetrySink* s : sinks_) s->on_sample(sample);
-}
-
-void FanoutSink::on_fault(const core::FaultEvent& event) {
-  for (TelemetrySink* s : sinks_) s->on_fault(event);
-}
-
-void FanoutSink::on_handover(const core::HandoverEvent& event) {
-  for (TelemetrySink* s : sinks_) s->on_handover(event);
-}
-
-void FanoutSink::on_trial_failure(const TrialFailure& failure) {
-  for (TelemetrySink* s : sinks_) s->on_trial_failure(failure);
-}
-
-void FanoutSink::on_snapshot(const StreamSnapshot& snapshot) {
-  for (TelemetrySink* s : sinks_) s->on_snapshot(snapshot);
-}
-
-void FanoutSink::on_run_end(const core::LinkSummary& summary) {
-  for (TelemetrySink* s : sinks_) s->on_run_end(summary);
-}
-
-void FanoutSink::on_sweep(const SweepRecord& record) {
-  for (TelemetrySink* s : sinks_) s->on_sweep(record);
 }
 
 }  // namespace mmr::sim

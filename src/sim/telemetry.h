@@ -1,33 +1,29 @@
-// Pluggable telemetry for the experiment pipeline.
+// Telemetry for the experiment pipeline: the records a run writes as
+// JSON lines, on stdout and to --json-out.
 //
-// A TelemetrySink observes a link experiment at three granularities:
-//   * per-tick LinkSample events while run_experiment scores a link,
-//   * a run-level LinkSummary when one controller run finishes,
-//   * a sweep-level record (per-trial summaries + timing + labels) when a
-//     whole Engine campaign completes.
-// Built-in sinks: NullSink (discard), MemorySink (in-process capture),
-// JsonLinesSink (the benches' one-line JSON record, byte-compatible with
-// write_sweep_json), FanoutSink (tee to several sinks, e.g. stdout + a
-// --json-out file).
+// A TelemetrySink hears five events: an injected fault, a handover, a
+// quarantined trial, a streaming snapshot, and a finished sweep (per-trial
+// summaries + timing + labels). JsonLinesSink writes each as one JSON
+// line; its sweep line is byte-compatible with write_sweep_json.
+// Per-tick samples and per-trial summaries are not events: they come back
+// in RunResult / EngineResult.
 //
 // Ordering contract: sinks are driven from ONE thread. When the Engine
-// fans trials across workers it buffers per-trial events and replays them
+// fans trials across workers it keeps per-trial events and replays them
 // to the sink in trial-index order after the sweep barrier, so sink output
 // is deterministic and independent of the worker schedule.
 #pragma once
 
 #include <cstdint>
 #include <ostream>
+#include <span>
 #include <string>
-#include <vector>
 
 #include "core/events.h"
 #include "core/metrics.h"
 #include "sim/sweep.h"
 
 namespace mmr::sim {
-
-struct RunConfig;
 
 /// One periodic snapshot of a live streaming run (sim/streaming.h), as
 /// delivered to TelemetrySink::on_snapshot: the merged shard accumulators
@@ -85,18 +81,14 @@ class TelemetrySink {
  public:
   virtual ~TelemetrySink() = default;
 
-  /// A controller run is starting under `config`.
-  virtual void on_run_begin(const RunConfig& config) { (void)config; }
-  /// One scored tick of the active run.
-  virtual void on_sample(const core::LinkSample& sample) { (void)sample; }
-  /// An injected fault or controller degradation during the active run
-  /// (only emitted when the run's FaultPlan is enabled).
+  /// An injected fault or controller degradation during a trial (only
+  /// emitted when the trial's FaultPlan is enabled).
   virtual void on_fault(const core::FaultEvent& event) { (void)event; }
-  /// A UE session switched serving cells during the active network run
-  /// (only emitted by net-layer campaigns with handover enabled).
+  /// A UE session switched serving cells during a network trial (only
+  /// emitted by net-layer campaigns with handover enabled).
   virtual void on_handover(const core::HandoverEvent& event) { (void)event; }
-  /// The active trial was quarantined after exhausting its retry budget
-  /// (delivered before the trial's on_run_end, in trial-index order).
+  /// A trial was quarantined after exhausting its retry budget (delivered
+  /// after the trial's fault events, in trial-index order).
   virtual void on_trial_failure(const TrialFailure& failure) {
     (void)failure;
   }
@@ -106,73 +98,21 @@ class TelemetrySink {
   virtual void on_snapshot(const StreamSnapshot& snapshot) {
     (void)snapshot;
   }
-  /// The active run finished with this summary.
-  virtual void on_run_end(const core::LinkSummary& summary) { (void)summary; }
   /// A whole sweep campaign finished (one record per Engine::run).
   virtual void on_sweep(const SweepRecord& record) { (void)record; }
 };
 
-/// Discards everything (the default when no telemetry is requested).
-class NullSink final : public TelemetrySink {};
-
-/// Captures everything in memory: per-run sample series and summaries in
-/// the order the runs were delivered, plus the last sweep record's
-/// aggregate inputs. Replaces the benches' bespoke trace capture.
-class MemorySink final : public TelemetrySink {
- public:
-  void on_run_begin(const RunConfig& config) override;
-  void on_sample(const core::LinkSample& sample) override;
-  void on_fault(const core::FaultEvent& event) override;
-  void on_handover(const core::HandoverEvent& event) override;
-  void on_trial_failure(const TrialFailure& failure) override;
-  void on_snapshot(const StreamSnapshot& snapshot) override;
-  void on_run_end(const core::LinkSummary& summary) override;
-  void on_sweep(const SweepRecord& record) override;
-
-  /// Sample series of run r (in delivery order).
-  const std::vector<std::vector<core::LinkSample>>& runs() const {
-    return runs_;
-  }
-  /// Fault events of run r (parallel to runs()).
-  const std::vector<std::vector<core::FaultEvent>>& faults() const {
-    return faults_;
-  }
-  /// Handover events of run r (parallel to runs()).
-  const std::vector<std::vector<core::HandoverEvent>>& handovers() const {
-    return handovers_;
-  }
-  const std::vector<core::LinkSummary>& summaries() const {
-    return summaries_;
-  }
-  /// Trial failures in delivery order (durable campaigns only).
-  const std::vector<TrialFailure>& trial_failures() const {
-    return trial_failures_;
-  }
-  /// Streaming snapshots in delivery order.
-  const std::vector<StreamSnapshot>& snapshots() const { return snapshots_; }
-  std::size_t num_sweeps() const { return num_sweeps_; }
-
- private:
-  std::vector<std::vector<core::LinkSample>> runs_;
-  std::vector<std::vector<core::FaultEvent>> faults_;
-  std::vector<std::vector<core::HandoverEvent>> handovers_;
-  std::vector<core::LinkSummary> summaries_;
-  std::vector<TrialFailure> trial_failures_;
-  std::vector<StreamSnapshot> snapshots_;
-  std::size_t num_sweeps_ = 0;
-};
-
 /// Emits one JSON line per sweep record -- the exact bytes
 /// write_sweep_json produces, so ported benches keep their machine-read
-/// output stable. Optionally also emits per-tick sample records
-/// (JSON-lines) for full-resolution traces. Fault events are always
-/// emitted as their own JSON lines ({"fault": "...", ...}); a no-fault
-/// run produces none, keeping its byte stream unchanged. Trial failures
-/// appear as {"trial_failure": {...}} lines.
+/// output stable. Fault events are emitted as their own JSON lines
+/// ({"fault": "...", ...}); a no-fault run produces none, keeping its
+/// byte stream unchanged. Handovers, trial failures and snapshots appear
+/// as {"handover": {...}}, {"trial_failure": {...}} and
+/// {"snapshot": {...}} lines.
 ///
 /// Durability contract: with the default `flush_every_n = 1` the sink
-/// flushes the stream after EVERY record it writes (sample, fault, trial
-/// failure, snapshot, sweep), so a process killed at an arbitrary
+/// flushes the stream after EVERY record it writes (fault, handover,
+/// trial failure, snapshot, sweep), so a process killed at an arbitrary
 /// instruction loses at most the one record being written -- never
 /// previously delivered lines sitting in a stream buffer. (Flushing
 /// pushes bytes to the OS; callers that need power-loss durability should
@@ -186,11 +126,9 @@ class MemorySink final : public TelemetrySink {
 /// Campaigns keep the durable default.
 class JsonLinesSink final : public TelemetrySink {
  public:
-  explicit JsonLinesSink(std::ostream& os, bool per_tick = false,
-                         std::size_t flush_every_n = 1)
-      : os_(os), per_tick_(per_tick), flush_every_n_(flush_every_n) {}
+  explicit JsonLinesSink(std::ostream& os, std::size_t flush_every_n = 1)
+      : os_(os), flush_every_n_(flush_every_n) {}
 
-  void on_sample(const core::LinkSample& sample) override;
   void on_fault(const core::FaultEvent& event) override;
   void on_handover(const core::HandoverEvent& event) override;
   void on_trial_failure(const TrialFailure& failure) override;
@@ -202,28 +140,8 @@ class JsonLinesSink final : public TelemetrySink {
   void record_written();
 
   std::ostream& os_;
-  bool per_tick_ = false;
   std::size_t flush_every_n_ = 1;
   std::size_t records_since_flush_ = 0;
-};
-
-/// Fans every event out to several sinks in registration order (tee).
-/// Does not own the sinks; keep them alive while the fanout is in use.
-class FanoutSink final : public TelemetrySink {
- public:
-  void add(TelemetrySink* sink);
-
-  void on_run_begin(const RunConfig& config) override;
-  void on_sample(const core::LinkSample& sample) override;
-  void on_fault(const core::FaultEvent& event) override;
-  void on_handover(const core::HandoverEvent& event) override;
-  void on_trial_failure(const TrialFailure& failure) override;
-  void on_snapshot(const StreamSnapshot& snapshot) override;
-  void on_run_end(const core::LinkSummary& summary) override;
-  void on_sweep(const SweepRecord& record) override;
-
- private:
-  std::vector<TelemetrySink*> sinks_;
 };
 
 }  // namespace mmr::sim

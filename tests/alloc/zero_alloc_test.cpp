@@ -409,14 +409,20 @@ std::size_t streaming_epoch_allocations(const sim::StreamingSpec& spec,
   return audit.delta();
 }
 
-// The streaming tentpole's steady-state claim: with churn off, jobs=1,
-// and no snapshot boundary, step_epoch -- network advance + scoring +
-// every O(1) accumulator update -- performs ZERO heap allocations, so a
-// service can tick forever with flat RSS.
+// The streaming tentpole's steady-state claim: with churn off and no
+// snapshot boundary, step_epoch -- network advance + scoring + every O(1)
+// accumulator update -- performs ZERO heap allocations, so a service can
+// tick forever with flat RSS. Both the inline shard sweep (jobs=1) and
+// the pooled one (jobs=2 over two shards) are audited.
 TEST_F(ZeroAllocTest, SteadyStateStreamingEpochIsAllocationFree) {
   register_noop_frozen();
   EXPECT_EQ(streaming_epoch_allocations(streaming_audit_spec(), 200), 0u)
-      << "the steady-state streaming tick loop allocated";
+      << "the steady-state streaming tick loop allocated at jobs=1";
+  sim::StreamingSpec pooled = streaming_audit_spec();
+  pooled.shards = 2;
+  pooled.jobs = 2;
+  EXPECT_EQ(streaming_epoch_allocations(pooled, 200), 0u)
+      << "the steady-state streaming tick loop allocated at jobs=2";
 }
 
 // Audit honesty: churn (session joins rebuild worlds/controllers) is

@@ -12,36 +12,21 @@
 namespace mmr {
 namespace {
 
-TEST(ThreadPool, RunsEverySubmittedTask) {
+TEST(ThreadPool, ReusedPoolRunsEveryIndexOfEveryCall) {
+  // One pool serves many ranges in turn (a streaming service calls it
+  // every epoch), including empty ones and ranges shorter than the pool.
   ThreadPool pool(4);
-  std::atomic<int> count{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 200; ++i) {
-    futures.push_back(pool.submit([&count] { ++count; }));
+  for (std::size_t n : {0u, 1u, 3u, 4u, 5u, 200u, 0u, 2u, 64u}) {
+    std::vector<int> hits(n, 0);
+    pool.parallel_for(n, [&](std::size_t i) { hits[i] += 1; });
+    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i], 1) << n << ":" << i;
   }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(count.load(), 200);
-}
-
-TEST(ThreadPool, SubmitReturnsTaskValue) {
-  ThreadPool pool(2);
-  auto f = pool.submit([] { return 6 * 7; });
-  EXPECT_EQ(f.get(), 42);
 }
 
 TEST(ThreadPool, ZeroThreadsMeansHardware) {
   ThreadPool pool(0);
   EXPECT_GE(pool.size(), 1u);
   EXPECT_EQ(pool.size(), ThreadPool::hardware_jobs());
-}
-
-TEST(ThreadPool, ExceptionPropagatesThroughFuture) {
-  ThreadPool pool(2);
-  auto f = pool.submit(
-      []() -> int { throw std::runtime_error("worker boom"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
-  // The pool must survive a throwing task.
-  EXPECT_EQ(pool.submit([] { return 1; }).get(), 1);
 }
 
 TEST(ThreadPool, ParallelForCoversAllIndices) {
@@ -69,19 +54,24 @@ TEST(ThreadPool, ParallelForRethrowsLowestIndexException) {
   }
   // Every non-throwing iteration still ran.
   EXPECT_EQ(completed.load(), 62);
+  // The pool survives a throwing range, and the next call starts clean.
+  std::atomic<int> after{0};
+  pool.parallel_for(16, [&](std::size_t) { ++after; });
+  EXPECT_EQ(after.load(), 16);
 }
 
 TEST(ThreadPool, ConcurrentSubmissionStress) {
+  // Several threads share one pool; their ranges run one after another.
   ThreadPool pool(4);
   std::atomic<long> sum{0};
   std::vector<std::thread> producers;
   for (int p = 0; p < 8; ++p) {
     producers.emplace_back([&pool, &sum, p] {
-      std::vector<std::future<void>> futures;
-      for (int i = 0; i < 250; ++i) {
-        futures.push_back(pool.submit([&sum, p, i] { sum += p * 1000 + i; }));
+      for (int round = 0; round < 5; ++round) {
+        pool.parallel_for(50, [&sum, p, round](std::size_t i) {
+          sum += p * 1000 + round * 50 + static_cast<long>(i);
+        });
       }
-      for (auto& f : futures) f.get();
     });
   }
   for (auto& t : producers) t.join();
@@ -92,46 +82,25 @@ TEST(ThreadPool, ConcurrentSubmissionStress) {
   EXPECT_EQ(sum.load(), expected);
 }
 
-TEST(ThreadPool, GracefulShutdownDrainsQueuedWork) {
-  std::atomic<int> done{0};
-  {
-    // One worker and a burst of slow-ish tasks: most are still queued
-    // when the destructor runs, and all must complete anyway.
-    ThreadPool pool(1);
-    for (int i = 0; i < 32; ++i) {
-      pool.submit([&done] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        ++done;
-      });
-    }
-  }
-  EXPECT_EQ(done.load(), 32);
-}
-
-TEST(ThreadPool, WorkIsStolenAcrossQueues) {
-  // Tasks are distributed round-robin over per-worker deques; with 4
-  // workers and one long-blocked queue, siblings must steal the blocked
-  // worker's share or this test times out.
+TEST(ThreadPool, IdleWorkersClaimIndicesPastABlockedOne) {
+  // Index 0 blocks until every other index has run; with 4 workers the
+  // other 3 must claim all 40 of them or this test times out.
   ThreadPool pool(4);
-  std::atomic<bool> release{false};
   std::atomic<int> fast_done{0};
-  std::vector<std::future<void>> futures;
-  futures.push_back(pool.submit([&release] {
-    while (!release.load()) std::this_thread::yield();
-  }));
-  for (int i = 0; i < 40; ++i) {
-    futures.push_back(pool.submit([&fast_done] { ++fast_done; }));
-  }
-  // The 40 fast tasks span every queue, including the blocked worker's.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (fast_done.load() < 40 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::yield();
-  }
+  pool.parallel_for(41, [&fast_done](std::size_t i) {
+    if (i != 0) {
+      ++fast_done;
+      return;
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (fast_done.load() < 40 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    EXPECT_EQ(fast_done.load(), 40);
+  });
   EXPECT_EQ(fast_done.load(), 40);
-  release = true;
-  for (auto& f : futures) f.get();
 }
 
 }  // namespace

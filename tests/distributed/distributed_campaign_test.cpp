@@ -278,8 +278,11 @@ TEST_F(DistributedCampaignTest, QuarantineInOneShardSurvivesTheMerge) {
   };
 
   const std::string reference = reference_json(spec);
-  EXPECT_NE(reference.find("\"quarantined\": true"), std::string::npos);
-  EXPECT_NE(reference.find("injected failure"), std::string::npos);
+  EXPECT_NE(reference.find("\"failures\": [{\"index\": 2, "),
+            std::string::npos);
+  EXPECT_NE(
+      reference.find("\"attempts\": 1, \"error\": \"injected failure\"}"),
+      std::string::npos);
 
   const std::string base = dir_ + "/quar";
   for (std::size_t i = 0; i < 2; ++i) {

@@ -1,6 +1,7 @@
 // Telemetry sinks and the run_experiment config validation added with the
-// experiment engine: MemorySink capture, JsonLinesSink byte-compatibility
-// with write_sweep_json, FanoutSink teeing, and the RunConfig contract.
+// experiment engine: the engine's sink replay, JsonLinesSink
+// byte-compatibility with write_sweep_json and its flush policy, and the
+// RunConfig contract.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,53 +13,51 @@
 #include <vector>
 
 #include "sim/engine.h"
+#include "sim/faults.h"
 #include "sim/runner.h"
 #include "sim/scenario.h"
 #include "sim/telemetry.h"
+#include "tests/common/capture_sink.h"
 
 namespace mmr::sim {
 namespace {
 
-RunConfig short_run() {
-  RunConfig rc;
-  rc.duration_s = 0.1;
-  return rc;
+/// A small campaign with a live fault plan, so the sink hears fault
+/// events from every trial.
+ExperimentSpec faulted_campaign(std::size_t jobs) {
+  ExperimentSpec spec;
+  spec.name = "order";
+  spec.scenario.name = "indoor";
+  spec.run.duration_s = 0.1;
+  spec.run.faults = fault_preset("heavy");
+  spec.trials = 4;
+  spec.jobs = jobs;
+  spec.seed = 5;
+  return spec;
 }
 
-TEST(Telemetry, MemorySinkCapturesSamplesAndSummary) {
-  ScenarioConfig cfg;
-  cfg.seed = 7;
-  LinkWorld world = make_indoor_world(cfg);
-  auto ctrl = make_mmreliable(world, cfg);
-  MemorySink sink;
-  const RunResult r = run_experiment(world, *ctrl, short_run(), &sink);
-
-  ASSERT_EQ(sink.runs().size(), 1u);
-  ASSERT_EQ(sink.summaries().size(), 1u);
-  EXPECT_EQ(sink.runs()[0].size(), r.samples.size());
-  EXPECT_EQ(sink.summaries()[0].reliability, r.summary.reliability);
-  EXPECT_EQ(sink.summaries()[0].mean_throughput_bps,
-            r.summary.mean_throughput_bps);
-  for (std::size_t i = 0; i < r.samples.size(); ++i) {
-    EXPECT_EQ(sink.runs()[0][i].t_s, r.samples[i].t_s);
-    EXPECT_EQ(sink.runs()[0][i].snr_db, r.samples[i].snr_db);
-  }
+EngineOptions frozen() {
+  EngineOptions opts;
+  opts.freeze_timing = true;
+  return opts;
 }
 
 TEST(Telemetry, SinkNeverPerturbsTheResult) {
-  ScenarioConfig cfg;
-  cfg.seed = 7;
-  LinkWorld world_a = make_indoor_world(cfg);
-  LinkWorld world_b = make_indoor_world(cfg);
-  auto ctrl_a = make_mmreliable(world_a, cfg);
-  auto ctrl_b = make_mmreliable(world_b, cfg);
-  MemorySink sink;
-  const RunResult with_sink = run_experiment(world_a, *ctrl_a, short_run(),
-                                             &sink);
-  const RunResult without = run_experiment(world_b, *ctrl_b, short_run());
-  EXPECT_EQ(with_sink.summary.reliability, without.summary.reliability);
-  EXPECT_EQ(with_sink.summary.mean_throughput_bps,
-            without.summary.mean_throughput_bps);
+  const ExperimentSpec spec = faulted_campaign(1);
+  std::ostringstream os;
+  JsonLinesSink sink(os);
+  const EngineResult with_sink = Engine().run(spec, &sink, frozen());
+  const EngineResult without = Engine().run(spec, nullptr, frozen());
+  ASSERT_EQ(with_sink.trials.size(), without.trials.size());
+  for (std::size_t i = 0; i < without.trials.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(with_sink.trials[i].value.reliability,
+              without.trials[i].value.reliability);
+    EXPECT_EQ(with_sink.trials[i].value.mean_throughput_bps,
+              without.trials[i].value.mean_throughput_bps);
+    EXPECT_EQ(with_sink.fault_events[i].size(),
+              without.fault_events[i].size());
+  }
 }
 
 TEST(Telemetry, JsonLinesSinkMatchesWriteSweepJsonByteForByte) {
@@ -96,56 +95,41 @@ TEST(Telemetry, JsonLinesSinkMatchesWriteSweepJsonByteForByte) {
   EXPECT_EQ(actual.str(), expected.str());
 }
 
-TEST(Telemetry, FanoutDeliversEveryEventToEverySink) {
-  MemorySink a, b;
-  FanoutSink fanout;
-  fanout.add(&a);
-  fanout.add(&b);
-
-  ScenarioConfig cfg;
-  cfg.seed = 3;
-  LinkWorld world = make_indoor_world(cfg);
-  auto ctrl = make_mmreliable(world, cfg);
-  run_experiment(world, *ctrl, short_run(), &fanout);
-
-  ASSERT_EQ(a.runs().size(), 1u);
-  ASSERT_EQ(b.runs().size(), 1u);
-  EXPECT_EQ(a.runs()[0].size(), b.runs()[0].size());
-  EXPECT_EQ(a.summaries().size(), 1u);
-  EXPECT_EQ(b.summaries().size(), 1u);
-}
-
 TEST(Telemetry, EngineReplaysSinkEventsInTrialIndexOrder) {
   // jobs=2 must deliver the same sink stream as jobs=1 (the ordering
-  // contract: per-trial events buffer and replay after the barrier).
-  auto capture = [](std::size_t jobs) {
-    ExperimentSpec spec;
-    spec.name = "order";
-    spec.scenario.name = "indoor";
-    spec.run.duration_s = 0.1;
-    spec.trials = 4;
-    spec.jobs = jobs;
-    spec.seed = 5;
-    spec.record_samples = true;
-    MemorySink sink;
-    Engine().run(spec, &sink);
-    return sink;
+  // contract: per-trial events are kept and replayed after the barrier).
+  auto stream = [](std::size_t jobs) {
+    std::ostringstream os;
+    JsonLinesSink sink(os);
+    Engine().run(faulted_campaign(jobs), &sink, frozen());
+    return os.str();
   };
-  const MemorySink serial = capture(1);
-  const MemorySink parallel = capture(2);
-  ASSERT_EQ(serial.runs().size(), 4u);
-  ASSERT_EQ(parallel.runs().size(), 4u);
-  EXPECT_EQ(serial.num_sweeps(), 1u);
-  EXPECT_EQ(parallel.num_sweeps(), 1u);
-  for (std::size_t i = 0; i < 4; ++i) {
-    SCOPED_TRACE(i);
-    EXPECT_EQ(serial.summaries()[i].reliability,
-              parallel.summaries()[i].reliability);
-    ASSERT_EQ(serial.runs()[i].size(), parallel.runs()[i].size());
-    for (std::size_t k = 0; k < serial.runs()[i].size(); ++k) {
-      EXPECT_EQ(serial.runs()[i][k].snr_db, parallel.runs()[i][k].snr_db);
-    }
+  const std::string serial = stream(1);
+  std::string parallel = stream(2);
+  // The sweep record names its worker count; nothing else may differ.
+  const std::size_t jobs_at = parallel.find("\"jobs\": 2, ");
+  ASSERT_NE(jobs_at, std::string::npos);
+  parallel.replace(jobs_at, 11, "\"jobs\": 1, ");
+  EXPECT_EQ(parallel, serial);
+  EXPECT_NE(serial.find("{\"fault\": "), std::string::npos);
+  EXPECT_NE(serial.find("{\"bench\": \"order\""), std::string::npos);
+
+  // The fault events arrive trial by trial, each trial's in emission
+  // order, then one sweep record.
+  mmr::testing::CaptureSink sink;
+  const EngineResult res = Engine().run(faulted_campaign(2), &sink, frozen());
+  std::vector<core::FaultEvent> expected;
+  for (const auto& evs : res.fault_events) {
+    expected.insert(expected.end(), evs.begin(), evs.end());
   }
+  ASSERT_FALSE(expected.empty());
+  ASSERT_EQ(sink.faults.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(sink.faults[i].kind, expected[i].kind);
+    EXPECT_EQ(sink.faults[i].t_s, expected[i].t_s);
+    EXPECT_EQ(sink.faults[i].value, expected[i].value);
+  }
+  EXPECT_EQ(sink.sweeps, 1u);
 }
 
 // --- Streaming snapshots and the flush_every_n policy -------------------
@@ -181,19 +165,6 @@ TEST(Telemetry, JsonLinesSinkEmitsOneSnapshotLine) {
   EXPECT_EQ(std::count(line.begin(), line.end(), '\n'), 1);
 }
 
-TEST(Telemetry, MemoryAndFanoutSinksCaptureSnapshots) {
-  MemorySink a, b;
-  FanoutSink fanout;
-  fanout.add(&a);
-  fanout.add(&b);
-  fanout.on_snapshot(sample_snapshot());
-  ASSERT_EQ(a.snapshots().size(), 1u);
-  ASSERT_EQ(b.snapshots().size(), 1u);
-  EXPECT_EQ(a.snapshots()[0].index, 3u);
-  EXPECT_EQ(a.snapshots()[0].total_ticks, 1680u);
-  EXPECT_EQ(b.snapshots()[0].availability, 0.975);
-}
-
 /// ostringstream buffer that counts sync() (i.e. flush) calls.
 struct CountingBuf : std::stringbuf {
   int syncs = 0;
@@ -208,7 +179,7 @@ TEST(Telemetry, FlushEveryNAmortizesFlushesWithoutChangingBytes) {
   auto emit = [&](std::size_t flush_every_n, int* syncs) {
     CountingBuf buf;
     std::ostream os(&buf);
-    JsonLinesSink sink(os, /*per_tick=*/false, flush_every_n);
+    JsonLinesSink sink(os, flush_every_n);
     for (int i = 0; i < 10; ++i) sink.on_snapshot(snap);
     if (syncs != nullptr) *syncs = buf.syncs;
     return buf.str();

@@ -2,8 +2,9 @@
 // bench_fault_resilience's moderate-preset comparison:
 //   * mmReliable's delivered (availability-weighted) mean SNR stays
 //     strictly above the reactive single-beam baseline,
-//   * no trial leaks a NaN/Inf into any telemetry event -- asserted by
-//     scanning the actual JSON-lines byte stream a sink produces,
+//   * no trial leaks a NaN/Inf into any telemetry event or sample --
+//     asserted by scanning the actual JSON-lines byte stream a sink
+//     produces and every recorded sample,
 //   * every recorded fault event is finite and timestamped within the run.
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 #include "sim/engine.h"
 #include "sim/faults.h"
 #include "sim/telemetry.h"
+#include "tests/common/capture_sink.h"
 
 namespace mmr::sim {
 namespace {
@@ -82,7 +84,7 @@ TEST(FaultCampaign, MmReliableBeatsReactiveUnderModerateFaults) {
 
 TEST(FaultCampaign, TelemetryStreamCarriesNoNonFiniteValues) {
   std::ostringstream os;
-  JsonLinesSink sink(os, /*per_tick=*/true);
+  JsonLinesSink sink(os);
   const EngineResult res = Engine().run(campaign("moderate"), &sink);
   const std::string stream = os.str();
   ASSERT_FALSE(stream.empty());
@@ -104,6 +106,17 @@ TEST(FaultCampaign, TelemetryStreamCarriesNoNonFiniteValues) {
   std::size_t events = 0;
   for (const auto& evs : res.fault_events) events += evs.size();
   EXPECT_GT(events, 0u);
+
+  // Per-tick samples come back in the result, not the stream.
+  ASSERT_EQ(res.samples.size(), kSchemes.size() * kReps);
+  for (const auto& samples : res.samples) {
+    ASSERT_FALSE(samples.empty());
+    for (const core::LinkSample& s : samples) {
+      EXPECT_TRUE(std::isfinite(s.t_s));
+      EXPECT_TRUE(std::isfinite(s.snr_db));
+      EXPECT_TRUE(std::isfinite(s.throughput_bps));
+    }
+  }
 }
 
 TEST(FaultCampaign, FaultEventsAreFiniteTypedAndInRange) {
@@ -123,21 +136,23 @@ TEST(FaultCampaign, FaultEventsAreFiniteTypedAndInRange) {
   }
 }
 
-TEST(FaultCampaign, MemorySinkRecordsFaultsPerRun) {
-  MemorySink sink;
+TEST(FaultCampaign, SinkHearsEveryFaultInTrialOrder) {
+  mmr::testing::CaptureSink sink;
   const ExperimentSpec spec = campaign("moderate");
   const EngineResult res = Engine().run(spec, &sink);
-  ASSERT_EQ(sink.runs().size(), spec.trials);
-  ASSERT_EQ(sink.faults().size(), spec.trials);
+  ASSERT_EQ(res.fault_events.size(), spec.trials);
+  std::size_t next = 0;
   for (std::size_t t = 0; t < spec.trials; ++t) {
-    ASSERT_EQ(sink.faults()[t].size(), res.fault_events[t].size());
-    for (std::size_t i = 0; i < sink.faults()[t].size(); ++i) {
-      EXPECT_EQ(sink.faults()[t][i].kind, res.fault_events[t][i].kind);
-      EXPECT_EQ(sink.faults()[t][i].t_s, res.fault_events[t][i].t_s);
+    for (const core::FaultEvent& ev : res.fault_events[t]) {
+      ASSERT_LT(next, sink.faults.size());
+      EXPECT_EQ(sink.faults[next].kind, ev.kind);
+      EXPECT_EQ(sink.faults[next].t_s, ev.t_s);
+      ++next;
     }
   }
-  EXPECT_EQ(sink.summaries().size(), spec.trials);
-  EXPECT_EQ(sink.num_sweeps(), 1u);
+  EXPECT_GT(next, 0u);
+  EXPECT_EQ(sink.faults.size(), next);
+  EXPECT_EQ(sink.sweeps, 1u);
 }
 
 }  // namespace

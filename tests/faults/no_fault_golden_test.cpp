@@ -69,22 +69,6 @@ ExperimentSpec fig17_shape() {
   return spec;
 }
 
-/// Drop the sink's end-of-sweep summary line: it embeds wall-clock
-/// timings that legitimately vary run to run. (Its *content* is still
-/// compared through the timing-zeroed json_of below.)
-std::string without_timing_lines(const std::string& stream) {
-  std::string out;
-  std::size_t pos = 0;
-  while (pos < stream.size()) {
-    std::size_t eol = stream.find('\n', pos);
-    if (eol == std::string::npos) eol = stream.size() - 1;
-    const std::string line = stream.substr(pos, eol - pos + 1);
-    if (line.find("\"wall_s\"") == std::string::npos) out += line;
-    pos = eol + 1;
-  }
-  return out;
-}
-
 void expect_byte_identical(const ExperimentSpec& base) {
   // Three ways of saying "no faults": never touching the field, an
   // explicitly default-constructed plan, and the registered "none"
@@ -98,20 +82,25 @@ void expect_byte_identical(const ExperimentSpec& base) {
     EngineResult result;
     std::string stream;
   };
+  // The fault/sweep JSON stream under frozen timing (so the sweep line
+  // is a pure function of the spec).
   auto run = [](const ExperimentSpec& spec) {
     std::ostringstream os;
-    JsonLinesSink sink(os, /*per_tick=*/true);
+    JsonLinesSink sink(os);
+    EngineOptions opts;
+    opts.freeze_timing = true;
     Capture cap;
-    cap.result = Engine().run(spec, &sink);
-    cap.stream = without_timing_lines(os.str());
+    cap.result = Engine().run(spec, &sink, opts);
+    cap.stream = os.str();
     return cap;
   };
   const Capture a = run(base);
   const Capture b = run(zeroed);
   const Capture c = run(none);
 
-  EXPECT_EQ(a.stream, b.stream) << "per-tick JSON stream must not change";
+  EXPECT_EQ(a.stream, b.stream) << "JSON stream must not change";
   EXPECT_EQ(a.stream, c.stream);
+  EXPECT_EQ(a.stream.find("\"fault\""), std::string::npos);
   EXPECT_EQ(json_of(base.name, a.result.trials, a.result.labels),
             json_of(base.name, b.result.trials, b.result.labels));
   EXPECT_EQ(json_of(base.name, a.result.trials, a.result.labels),
@@ -120,9 +109,16 @@ void expect_byte_identical(const ExperimentSpec& base) {
   ASSERT_EQ(a.result.samples.size(), b.result.samples.size());
   for (std::size_t t = 0; t < a.result.samples.size(); ++t) {
     ASSERT_EQ(a.result.samples[t].size(), b.result.samples[t].size());
+    ASSERT_EQ(a.result.samples[t].size(), c.result.samples[t].size());
     for (std::size_t i = 0; i < a.result.samples[t].size(); ++i) {
-      EXPECT_EQ(a.result.samples[t][i].snr_db, b.result.samples[t][i].snr_db);
-      EXPECT_EQ(a.result.samples[t][i].snr_db, c.result.samples[t][i].snr_db);
+      for (const Capture* other : {&b, &c}) {
+        const core::LinkSample& x = a.result.samples[t][i];
+        const core::LinkSample& y = other->result.samples[t][i];
+        EXPECT_EQ(x.t_s, y.t_s);
+        EXPECT_EQ(x.snr_db, y.snr_db);
+        EXPECT_EQ(x.throughput_bps, y.throughput_bps);
+        EXPECT_EQ(x.available, y.available);
+      }
     }
     EXPECT_TRUE(a.result.fault_events[t].empty());
     EXPECT_TRUE(b.result.fault_events[t].empty());

@@ -22,6 +22,7 @@
 #include "sim/scenario.h"
 #include "sim/telemetry.h"
 #include "sim/workspace.h"
+#include "tests/common/capture_sink.h"
 
 namespace {
 
@@ -173,9 +174,8 @@ TEST(Network, RsrpHandoverFiresAndStreamsTelemetry) {
   spec.handover.min_interval_s = 200.0e-3;
   spec.ue_placement_jitter_m = 0.0;
 
-  sim::MemorySink sink;
   net::Network network(spec, 77);
-  const net::NetworkResult result = network.run(&sink);
+  const net::NetworkResult result = network.run();
 
   ASSERT_GE(result.handovers.size(), 1u);
   const core::HandoverEvent& first = result.handovers.front();
@@ -197,10 +197,22 @@ TEST(Network, RsrpHandoverFiresAndStreamsTelemetry) {
   EXPECT_EQ(result.links[0].handovers, result.handovers.size());
   EXPECT_EQ(result.links[0].serving_cell, 1u);
   EXPECT_EQ(result.links[1].handovers, 0u);
-  // The sink saw the same events.
-  ASSERT_EQ(sink.handovers().size(), 1u);
-  ASSERT_EQ(sink.handovers()[0].size(), result.handovers.size());
-  EXPECT_EQ(sink.handovers()[0][0].to_cell, 1u);
+  // A campaign over the same spec streams its trials' handovers to the
+  // sink, in time order.
+  net::NetworkCampaignSpec campaign;
+  campaign.network = spec;
+  campaign.seed = 77;
+  mmr::testing::CaptureSink sink;
+  const net::NetworkCampaignResult res =
+      net::run_network_campaign(campaign, &sink);
+  const std::vector<core::HandoverEvent>& streamed = res.details[0].handovers;
+  ASSERT_GE(streamed.size(), 1u);
+  ASSERT_EQ(sink.handovers.size(), streamed.size());
+  for (std::size_t i = 0; i < streamed.size(); ++i) {
+    EXPECT_EQ(sink.handovers[i].t_s, streamed[i].t_s);
+    EXPECT_EQ(sink.handovers[i].to_cell, streamed[i].to_cell);
+  }
+  EXPECT_EQ(sink.sweeps, 1u);
   // The teardown shows in the state ledger: a handover is kLinkLost +
   // reacquisition, so the machine left kUp at least once.
   EXPECT_GT(result.links[0].time_acquisition_s + result.links[0].time_down_s,

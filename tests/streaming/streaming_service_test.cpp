@@ -20,6 +20,7 @@
 #include "sim/streaming.h"
 #include "sim/telemetry.h"
 #include "sim/workspace.h"
+#include "tests/common/capture_sink.h"
 
 namespace {
 
@@ -51,7 +52,7 @@ sim::StreamingSpec base_spec() {
 TEST(StreamingService, SingleSessionCollapsesToEngineTrial) {
   net::register_net_builtins();
   sim::StreamingSpec spec = base_spec();
-  sim::MemorySink sink;
+  mmr::testing::CaptureSink sink;
   sim::StreamingService service(spec, &sink);
   const sim::StreamingResult result = service.run();
 
@@ -95,9 +96,9 @@ TEST(StreamingService, SingleSessionCollapsesToEngineTrial) {
   EXPECT_GE(snap.snr_p50_db, rank(0.35) - 1e-9);
   EXPECT_LE(snap.snr_p50_db, rank(0.65) + 1e-9);
   // One snapshot was emitted, and it matches the returned final one.
-  ASSERT_EQ(sink.snapshots().size(), 1u);
-  EXPECT_EQ(sink.snapshots()[0].total_ticks, snap.total_ticks);
-  EXPECT_EQ(sink.snapshots()[0].availability, snap.availability);
+  ASSERT_EQ(sink.snapshots.size(), 1u);
+  EXPECT_EQ(sink.snapshots[0].total_ticks, snap.total_ticks);
+  EXPECT_EQ(sink.snapshots[0].availability, snap.availability);
 }
 
 std::string snapshot_bytes(std::size_t jobs) {
@@ -173,7 +174,7 @@ TEST(StreamingService, ChurnKeepsTheSessionTableBounded) {
   spec.snapshot_every_s = 0.1;
   spec.churn.arrival_rate_per_s = 300.0;
   spec.churn.mean_lifetime_s = 0.05;
-  sim::MemorySink sink;
+  mmr::testing::CaptureSink sink;
   sim::StreamingService service(spec, &sink);
   const sim::StreamingResult result = service.run();
 
@@ -183,8 +184,8 @@ TEST(StreamingService, ChurnKeepsTheSessionTableBounded) {
   // ...and the live table never exceeded the cap (checked at every
   // snapshot boundary, not just at the end).
   EXPECT_EQ(result.total_joined - result.total_left, result.live_sessions);
-  ASSERT_FALSE(sink.snapshots().empty());
-  for (const sim::StreamSnapshot& s : sink.snapshots()) {
+  ASSERT_FALSE(sink.snapshots.empty());
+  for (const sim::StreamSnapshot& s : sink.snapshots) {
     EXPECT_LE(s.live_sessions, spec.max_sessions);
     EXPECT_EQ(s.total_joined - s.total_left, s.live_sessions);
   }
@@ -242,7 +243,7 @@ TEST(StreamingService, SnapshotCadenceAndPartialFinalWindow) {
   spec.duration_s = 0.1;  // 40 ticks
   spec.network.run.duration_s = 0.1;
   spec.snapshot_every_s = 0.0075;  // every 3 ticks -> 13 full + 1 partial
-  sim::MemorySink sink;
+  mmr::testing::CaptureSink sink;
   sim::StreamingService service(spec, &sink);
   const sim::StreamingResult result = service.run();
 
@@ -250,15 +251,15 @@ TEST(StreamingService, SnapshotCadenceAndPartialFinalWindow) {
   ASSERT_EQ(result.snapshots_emitted, 14u);
   // Delivery is inline: the sink receives every snapshot.
   EXPECT_EQ(result.snapshots_dropped, 0u);
-  ASSERT_EQ(sink.snapshots().size(), 14u);
+  ASSERT_EQ(sink.snapshots.size(), 14u);
   std::uint64_t window_sum = 0;
-  for (std::size_t i = 0; i < sink.snapshots().size(); ++i) {
-    const sim::StreamSnapshot& s = sink.snapshots()[i];
+  for (std::size_t i = 0; i < sink.snapshots.size(); ++i) {
+    const sim::StreamSnapshot& s = sink.snapshots[i];
     EXPECT_EQ(s.index, i);
     EXPECT_EQ(s.dropped, 0u);
-    EXPECT_EQ(s.window_ticks, i + 1 < sink.snapshots().size() ? 3u : 1u);
+    EXPECT_EQ(s.window_ticks, i + 1 < sink.snapshots.size() ? 3u : 1u);
     window_sum += s.window_ticks;
-    if (i > 0) EXPECT_GT(s.t_s, sink.snapshots()[i - 1].t_s);
+    if (i > 0) EXPECT_GT(s.t_s, sink.snapshots[i - 1].t_s);
   }
   EXPECT_EQ(window_sum, result.final_snapshot.total_ticks);
   EXPECT_EQ(result.final_snapshot.total_ticks, 40u);
