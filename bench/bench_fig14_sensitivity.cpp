@@ -81,8 +81,8 @@ int main(int argc, char** argv) {
   spec.label = [&powers_dbm](const sim::TrialContext& ctx) {
     return std::to_string(static_cast<int>(powers_dbm[ctx.index])) + "dBm";
   };
-  // Shard workers and the merger print only the JSON line, so the whole
-  // figure, closed-form grids included, is the report hook.
+  // The whole figure, closed-form grids included, is the report hook, so
+  // it prints before the campaign's JSON line.
   sim::run_campaign(spec, opts, [&](const sim::EngineResult& res) {
     print_closed_form_sensitivity();
     std::printf("\n=== link-margin sensitivity of the full loop (engine) "

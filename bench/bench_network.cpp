@@ -22,9 +22,7 @@
 // --json-out receives the standard sweep records (write_sweep_json), so a
 // 1-cell/1-UE run is byte-comparable to the engine path. --controller
 // narrows the sweep to one scheme; --scenario swaps the crowd template
-// (default indoor_crowd). The network campaign keeps no trial journal, so
-// --resume, --trial-retries, --shard and --merge exit 2 instead of being
-// ignored.
+// (default indoor_crowd).
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -107,11 +105,6 @@ int main(int argc, char** argv) {
       argc, argv, extra,
       "          [--cells N] [--ues-per-cell N] [--cell-spacing-m X]\n"
       "          [--network-json-out FILE]");
-  sim::reject_flags(
-      opts,
-      {sim::CampaignFlag::kResume, sim::CampaignFlag::kTrialRetries,
-       sim::CampaignFlag::kShard, sim::CampaignFlag::kMerge},
-      argv[0], "the network campaign");
   const std::size_t trials = opts.trials > 0 ? opts.trials : 10;
   const std::uint64_t seed = opts.seed > 0 ? opts.seed : 21;
   const std::vector<std::string> schemes =

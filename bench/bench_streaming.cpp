@@ -29,9 +29,8 @@
 //                        flushed once at the end; campaigns keep 1)
 //
 // --seed/--jobs/--controller/--scenario/--freeze-timing/--json-out come
-// from the shared CLI; the service runs no trial campaign, so --trials,
-// --faults, --resume, --trial-retries, --shard and --merge exit 2
-// instead of being ignored. With --freeze-timing the
+// from the shared CLI; the service runs no trial campaign, so --trials
+// and --faults exit 2 instead of being ignored. With --freeze-timing the
 // ENTIRE JSON stream is byte-identical across --jobs values (the
 // determinism contract pinned by tests/streaming): the {"rss": ...}
 // lines are suppressed and the summary's rss fields zeroed, because RSS
@@ -192,12 +191,9 @@ int main(int argc, char** argv) {
       "          [--max-sessions N] [--tick-s X] [--cells N]\n"
       "          [--ues-per-cell N] [--interference 0|1] "
       "[--flush-every-n N]");
-  sim::reject_flags(
-      opts,
-      {sim::CampaignFlag::kTrials, sim::CampaignFlag::kFaults,
-       sim::CampaignFlag::kResume, sim::CampaignFlag::kTrialRetries,
-       sim::CampaignFlag::kShard, sim::CampaignFlag::kMerge},
-      argv[0], "the streaming service");
+  sim::reject_flags(opts,
+                    {sim::CampaignFlag::kTrials, sim::CampaignFlag::kFaults},
+                    argv[0], "the streaming service");
 
   sim::StreamingSpec spec;
   spec.name = "streaming";

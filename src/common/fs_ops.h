@@ -1,11 +1,10 @@
 // Hookable filesystem syscalls with bounded deterministic retry.
 //
-// Every syscall the durability layer depends on (AtomicFile's staged
-// commit, the campaign journal's fsync'd append and seal) routes through
-// a per-process fn-pointer table -- the same pattern as dsp::backend --
-// so tests can install a faulting table that deterministically injects
-// EINTR storms, short writes, ENOSPC, and delays into every recovery
-// path. Production always runs the real syscalls; the hook exists so
+// Every syscall of AtomicFile's staged commit (the atomic --json-out)
+// routes through a per-process fn-pointer table -- the same pattern as
+// dsp::backend -- so tests can install a faulting table that
+// deterministically injects EINTR storms, short writes, ENOSPC, and
+// delays into every recovery path. Production always runs the real syscalls; the hook exists so
 // crash-recovery code is exercised by tests rather than by luck.
 //
 // On top of the table sit retrying wrappers: transient failures (EINTR,

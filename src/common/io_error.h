@@ -1,12 +1,11 @@
-// Typed filesystem error for the durability layer.
+// Typed filesystem error of the fsio layer (common/fs_ops.h) and of
+// AtomicFile's commit.
 //
-// AtomicFile and the campaign journal previously threw bare
-// std::runtime_error with errno text baked into the message; callers
-// that need to react to the *kind* of failure (retryable vs fatal, which
-// path, which operation) had to parse strings. IoError keeps the message
-// (so every existing catch site still reads well) but carries the
-// operation, path, and errno as typed fields. It derives from
-// std::runtime_error, so code catching the old type keeps working.
+// Callers that need to react to the *kind* of failure (retryable vs
+// fatal, which path, which operation) read typed fields instead of
+// parsing errno text out of a message. IoError keeps a readable message
+// but carries the operation, path, and errno as typed fields. It derives
+// from std::runtime_error, so code catching that type keeps working.
 #pragma once
 
 #include <cstring>

@@ -5,7 +5,7 @@
 //
 //   * kScalar   -- the bit-exact reference loops (the PR-2 kernels,
 //                  unchanged). This is the GOLDEN path: figure goldens,
-//                  journal byte-identity and every %.17g pin run on it.
+//                  the bench stdout hashes and every %.17g pin run on it.
 //   * kPortable -- FMA-friendly restructuring in plain C++ (independent
 //                  accumulators, anchor+delta phasor evaluation). Compiles
 //                  and runs on every target.

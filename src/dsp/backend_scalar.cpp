@@ -1,6 +1,6 @@
 // Scalar reference backend: the PR-2 kernel loops, verbatim. This is the
-// golden path -- figure goldens, journal byte-identity and every %.17g pin
-// in the test tree assume these exact operations in this exact order.
+// golden path -- figure goldens, the bench stdout hashes and every %.17g
+// pin in the test tree assume these exact operations in this exact order.
 // DO NOT restructure these loops; put fast variants in another backend TU.
 #include <algorithm>
 #include <cmath>

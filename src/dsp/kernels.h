@@ -18,8 +18,8 @@
 // backend table (dsp/backend.h): the scalar reference keeps the contract
 // above verbatim, while the portable/AVX2/NEON backends may reassociate
 // sums and evaluate phasors by anchor+rotation within a declared,
-// test-enforced tolerance (dsp::tolerances()). Goldens and journal
-// byte-identity always run against the scalar reference.
+// test-enforced tolerance (dsp::tolerances()). Goldens and the pinned
+// bench stdout hashes always run against the scalar reference.
 //
 // Edge/aliasing contract (all backends, enforced by
 // tests/dsp/backend_test.cpp):

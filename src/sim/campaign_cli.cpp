@@ -5,7 +5,6 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <vector>
@@ -14,7 +13,6 @@
 #include "common/parse.h"
 #include "dsp/backend.h"
 #include "sim/faults.h"
-#include "sim/journal.h"
 #include "sim/telemetry.h"
 
 namespace mmr::sim {
@@ -75,69 +73,6 @@ void apply_kernel_backend(const std::string& name, const char* prog) {
   }
 }
 
-/// A shard worker or merger: journals every trial, records no per-tick
-/// samples, and reports with a stderr note instead of the figure.
-bool distributed_role(const SweepCliOptions& opts) {
-  return opts.shard.enabled() || !opts.merge.empty();
-}
-
-/// --merge: merge the campaign's shard journals into the unsharded
-/// journal `merged` and open it for replay.
-std::unique_ptr<CampaignJournal> open_merged_journal(
-    const ExperimentSpec& spec, const SweepCliOptions& opts) {
-  const std::string merged = journal_path(opts.merge, spec.name);
-  const std::vector<std::string> shard_paths =
-      discover_shard_journals(merged);
-  if (shard_paths.empty()) {
-    std::fprintf(stderr,
-                 "no shard journals found for campaign '%s' under base "
-                 "'%s' (expected %s)\n",
-                 spec.name.c_str(), opts.merge.c_str(),
-                 shard_journal_path(opts.merge, spec.name, ShardPlan{0, 1})
-                     .c_str());
-    std::exit(2);
-  }
-  try {
-    const MergeStats stats =
-        merge_journals(shard_paths, merged, campaign_key(spec));
-    std::fprintf(stderr,
-                 "merged %zu shard journals for campaign '%s': %zu "
-                 "trials checkpointed, %zu to re-run\n",
-                 stats.shard_count, spec.name.c_str(), stats.merged_trials,
-                 stats.missing_trials);
-    return std::make_unique<CampaignJournal>(merged, campaign_key(spec));
-  } catch (const std::exception& e) {
-    std::fprintf(stderr,
-                 "cannot merge shard journals for campaign '%s': %s\n",
-                 spec.name.c_str(), e.what());
-    std::exit(2);
-  }
-}
-
-/// --resume (and --shard): open or create the campaign's journal.
-std::unique_ptr<CampaignJournal> open_resume_journal(
-    const ExperimentSpec& spec, const SweepCliOptions& opts) {
-  if (spec.record_samples) {
-    std::fprintf(stderr,
-                 "--resume is not supported for campaign '%s': it records "
-                 "per-tick samples, which the journal does not replay\n",
-                 spec.name.c_str());
-    std::exit(2);
-  }
-  const std::string path =
-      opts.shard.enabled()
-          ? shard_journal_path(opts.resume, spec.name, opts.shard)
-          : journal_path(opts.resume, spec.name);
-  try {
-    return std::make_unique<CampaignJournal>(path, campaign_key(spec),
-                                             opts.shard);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "cannot resume from journal %s: %s\n", path.c_str(),
-                 e.what());
-    std::exit(2);
-  }
-}
-
 /// Emit a campaign's JSON record to stdout (the report's final line).
 void emit_json(const std::string& name, const EngineResult& r) {
   JsonLinesSink sink(std::cout);
@@ -148,25 +83,6 @@ void emit_json(const std::string& name, const EngineResult& r) {
   record.labels = r.labels;
   record.failures = r.failures;
   sink.on_sweep(record);
-}
-
-/// Stderr progress note for a distributed role (shard worker / merger).
-void emit_distributed(const SweepCliOptions& opts, const std::string& name,
-                      const EngineResult& r) {
-  if (opts.shard.enabled()) {
-    std::fprintf(stderr,
-                 "%s: %s done: %zu trials owned (%zu replayed from the "
-                 "journal), %zu skipped (other shards)\n",
-                 name.c_str(), opts.shard.suffix().c_str(),
-                 r.trials.size() - r.skipped_trials, r.replayed_trials,
-                 r.skipped_trials);
-  } else {
-    std::fprintf(stderr,
-                 "%s: merge done: %zu trials (%zu replayed from shard "
-                 "journals, %zu re-run), %zu failures\n",
-                 name.c_str(), r.trials.size(), r.replayed_trials,
-                 r.trials.size() - r.replayed_trials, r.failures.size());
-  }
 }
 
 }  // namespace
@@ -214,8 +130,7 @@ SweepCliOptions parse_sweep_cli(int argc, char** argv,
   const char* prog = argv[0];
   for (int i = 1; i < argc; ++i) {
     // Bench-specific flags are tried first, so a bench's own spelling
-    // (bench_streaming's --shards sizes its session table) keeps the
-    // bench's meaning even where the shared grammar knows the name too.
+    // wins over the shared grammar's.
     if (extra && extra(i, argc, argv)) {
       continue;
     }
@@ -240,66 +155,24 @@ SweepCliOptions parse_sweep_cli(int argc, char** argv,
       require_fault_preset(opts.faults, prog);
     } else if (const char* v7 = flag_value(i, argc, argv, "--json-out")) {
       opts.json_out = v7;
-    } else if (const char* v8 = flag_value(i, argc, argv, "--resume")) {
-      opts.resume = v8;
-      if (opts.resume.empty()) {
-        std::fprintf(stderr, "%s: --resume needs a journal base path\n",
-                     prog);
-        std::exit(2);
-      }
-    } else if (const char* v9 = flag_value(i, argc, argv, "--trial-retries")) {
-      opts.trial_retries = require_size("--trial-retries", v9, prog);
-    } else if (const char* v10 =
+    } else if (const char* v8 =
                    flag_value(i, argc, argv, "--kernel-backend")) {
-      opts.kernel_backend = v10;
+      opts.kernel_backend = v8;
       // Validated AND applied eagerly: the backend switch is process
       // global and must land before any sweep warms kernel caches.
       apply_kernel_backend(opts.kernel_backend, prog);
-    } else if (const char* v11 = flag_value(i, argc, argv, "--shard")) {
-      const std::optional<ShardPlan> plan = ShardPlan::parse(v11);
-      if (!plan.has_value()) {
-        std::fprintf(stderr,
-                     "%s: invalid value for --shard: '%s' (expected I/N "
-                     "with base-10 I < N, e.g. 0/3)\n",
-                     prog, v11);
-        std::exit(2);
-      }
-      opts.shard = *plan;
-    } else if (const char* v12 = flag_value(i, argc, argv, "--merge")) {
-      opts.merge = v12;
-      if (opts.merge.empty()) {
-        std::fprintf(stderr, "%s: --merge needs a journal base path\n", prog);
-        std::exit(2);
-      }
     } else {
       std::fprintf(stderr,
                    "usage: %s [--jobs N] [--trials N] [--seed S]\n"
                    "          [--scenario NAME] [--controller NAME]\n"
                    "          [--faults NAME] [--kernel-backend B]\n"
-                   "          [--json-out FILE]\n"
-                   "          [--resume BASE] [--trial-retries N]\n"
-                   "          [--freeze-timing] [--shard I/N] [--merge BASE]\n"
+                   "          [--json-out FILE] [--freeze-timing]\n"
                    "          [--list]%s%s\n"
                    "unknown argument: %s\n",
                    prog, extra_usage != nullptr ? "\n" : "",
                    extra_usage != nullptr ? extra_usage : "", argv[i]);
       std::exit(2);
     }
-  }
-  // Distributed-flag constraints: one role per invocation.
-  if (!opts.merge.empty() && (opts.shard.enabled() || !opts.resume.empty())) {
-    std::fprintf(stderr,
-                 "%s: --merge is a standalone role; it cannot be combined "
-                 "with --shard or --resume\n",
-                 prog);
-    std::exit(2);
-  }
-  if (opts.shard.enabled() && opts.resume.empty()) {
-    std::fprintf(stderr,
-                 "%s: --shard requires --resume BASE (the shard journal is "
-                 "the worker's output)\n",
-                 prog);
-    std::exit(2);
   }
   return opts;
 }
@@ -314,10 +187,6 @@ void reject_flags(const SweepCliOptions& opts,
   } known[] = {
       {CampaignFlag::kTrials, "--trials", opts.trials > 0},
       {CampaignFlag::kFaults, "--faults", !opts.faults.empty()},
-      {CampaignFlag::kResume, "--resume", !opts.resume.empty()},
-      {CampaignFlag::kTrialRetries, "--trial-retries", opts.trial_retries > 0},
-      {CampaignFlag::kShard, "--shard", opts.shard.enabled()},
-      {CampaignFlag::kMerge, "--merge", !opts.merge.empty()},
   };
   bool rejected = false;
   for (const CampaignFlag flag : flags) {
@@ -336,30 +205,13 @@ void apply_cli(const SweepCliOptions& opts, ExperimentSpec& spec) {
   if (!opts.scenario.empty()) spec.scenario.name = opts.scenario;
   if (!opts.controller.empty()) spec.controller.name = opts.controller;
   if (!opts.faults.empty()) spec.run.faults = fault_preset(opts.faults);
+  if (opts.freeze_timing) spec.freeze_timing = true;
 }
 
 EngineResult run_campaign(ExperimentSpec spec, const SweepCliOptions& opts) {
   apply_cli(opts, spec);
-  EngineOptions eng_opts;
-  eng_opts.trial_retries = opts.trial_retries;
-  eng_opts.freeze_timing = opts.freeze_timing;
-  // Distributed roles journal every trial, and journals cannot replay
-  // per-tick samples. Dropping them does not change the JSON record (no
-  // sink event carries samples), so the merged output stays
-  // byte-identical to the 1-process run. Forced BEFORE campaign_key:
-  // record_samples is fingerprinted, and worker and merger must agree
-  // on it.
-  if (distributed_role(opts)) spec.record_samples = false;
-  std::unique_ptr<CampaignJournal> journal;
-  if (!opts.merge.empty()) {
-    journal = open_merged_journal(spec, opts);
-  } else if (!opts.resume.empty()) {
-    journal = open_resume_journal(spec, opts);
-    eng_opts.shard = opts.shard;
-  }
-  eng_opts.journal = journal.get();
   Engine engine;
-  if (opts.json_out.empty()) return engine.run(spec, nullptr, eng_opts);
+  if (opts.json_out.empty()) return engine.run(spec);
   // Stage previous content + the new record; committed atomically below.
   AtomicFile file(opts.json_out);
   {
@@ -380,7 +232,7 @@ EngineResult run_campaign(ExperimentSpec spec, const SweepCliOptions& opts) {
     }
   }
   JsonLinesSink file_sink(file.stream());
-  EngineResult result = engine.run(spec, &file_sink, eng_opts);
+  EngineResult result = engine.run(spec, &file_sink);
   try {
     file.commit();
   } catch (const std::exception& e) {
@@ -393,11 +245,7 @@ EngineResult run_campaign(ExperimentSpec spec, const SweepCliOptions& opts) {
 void run_campaign(const ExperimentSpec& spec, const SweepCliOptions& opts,
                   const FigureReport& figure) {
   const EngineResult result = run_campaign(spec, opts);
-  if (distributed_role(opts)) {
-    emit_distributed(opts, spec.name, result);
-  } else {
-    figure(result);
-  }
+  figure(result);
   emit_json(spec.name, result);
 }
 

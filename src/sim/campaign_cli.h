@@ -1,6 +1,6 @@
 // The shared front end of every engine-driven bench binary: the
-// command-line grammar, and run_campaign(), which runs one campaign under
-// the durability and distributed flags and prints its report.
+// command-line grammar, and run_campaign(), which runs one campaign and
+// prints its report.
 //
 // Every campaign bench accepts:
 //   --jobs N           worker threads for the Monte-Carlo sweep (0 = all
@@ -28,50 +28,19 @@
 //                      atomically (write-temp + fsync + rename): a crash
 //                      leaves either the previous FILE or the complete new
 //                      one, never a truncated record.
-//   --resume BASE      durable execution: checkpoint every completed trial
-//                      to the journal BASE.<campaign>.journal and, when
-//                      that journal already exists (from an interrupted
-//                      run of the SAME campaign: name, seed, trials, seed
-//                      policy, and config fingerprint must all match),
-//                      replay the completed trials and run only the
-//                      missing ones. Combined with --freeze-timing the
-//                      resumed output is byte-identical to an
-//                      uninterrupted run. Mismatched journals exit(2).
-//   --trial-retries N  re-run a trial whose body throws up to N extra
-//                      times (same deterministic Rng stream) before
-//                      quarantining it; a quarantined trial keeps its slot
-//                      but is excluded from aggregates and reported under
-//                      "failures" instead of aborting the sweep.
 //   --freeze-timing    zero all wall/cpu timing fields in the JSON record
 //                      so output is a pure function of (spec, seed) --
-//                      for byte-diffing runs (crash/resume tests, CI).
-//   --shard I/N        distributed campaigns: this process runs only the
-//                      trials shard I of N owns (strided: index % N == I)
-//                      and checkpoints them into
-//                      BASE.<campaign>.shard-I-of-N.journal. Requires
-//                      --resume BASE (the shard journal IS the worker's
-//                      output). Trial randomness derives purely from
-//                      (seed, index), so shard trials are bit-identical
-//                      to the 1-process run's.
-//   --merge BASE       merge the shard journals written under --resume
-//                      BASE back into the unsharded journal
-//                      BASE.<campaign>.journal (validating that every
-//                      shard belongs to this campaign and the shard set
-//                      is disjoint and covering -- violations exit(2)
-//                      naming the offending field), then replay it
-//                      through the engine: completed trials restore
-//                      bit-exactly, missing ones (crashed before
-//                      checkpoint, or quarantined -- quarantine is never
-//                      journaled) re-run live. With --freeze-timing the
-//                      merged JSON is byte-identical to the 1-process
-//                      run. Mutually exclusive with --shard and --resume.
+//                      for byte-diffing runs (tests, CI).
 //   --list             print the registered scenario/controller names and
 //                      the fault presets, then exit.
 // and ends each campaign's report with one JSON line (sweep timing,
 // per-trial wall-clock and LinkSummary values, aggregate) for machine
-// consumption. Benches that parse this grammar but run no journaled
-// engine campaign (bench_network, bench_streaming) exit(2) on the flags
-// they cannot honour, through reject_flags().
+// consumption. A trial that throws is quarantined: the line marks it
+// `"failed": true` and lists it under "failures" with its index, stream
+// seed and error. Benches that parse this grammar but run no engine
+// campaign (bench_streaming) exit(2) on the flags they cannot honour,
+// through reject_flags(); any other argument exits(2) with "unknown
+// argument".
 //
 // Numeric flags are validated strictly (common/parse.h): signs,
 // whitespace, trailing garbage, and out-of-range values exit(2) with a
@@ -86,7 +55,6 @@
 #include <string>
 
 #include "sim/engine.h"
-#include "sim/shard.h"
 
 namespace mmr::sim {
 
@@ -99,11 +67,7 @@ struct SweepCliOptions {
   std::string faults;       ///< fault preset name; empty = no faults
   std::string kernel_backend;  ///< forced dsp backend; empty = default
   std::string json_out;     ///< empty = stdout only
-  std::string resume;       ///< journal base path; empty = no checkpoints
-  std::size_t trial_retries = 0;
   bool freeze_timing = false;
-  ShardPlan shard;          ///< --shard I/N; disabled = not a shard worker
-  std::string merge;        ///< --merge BASE; empty = no merge
 };
 
 /// The value of `flag` when argv[i] spells it: "--flag=V" yields V, and
@@ -137,12 +101,8 @@ SweepCliOptions parse_sweep_cli(int argc, char** argv,
 
 /// Shared flags that only an engine campaign honours.
 enum class CampaignFlag {
-  kTrials,        ///< --trials
-  kFaults,        ///< --faults
-  kResume,        ///< --resume
-  kTrialRetries,  ///< --trial-retries
-  kShard,         ///< --shard
-  kMerge,         ///< --merge
+  kTrials,  ///< --trials
+  kFaults,  ///< --faults
 };
 
 /// For a bench that parses the shared grammar but does not run what
@@ -153,47 +113,27 @@ void reject_flags(const SweepCliOptions& opts,
                   std::initializer_list<CampaignFlag> flags, const char* prog,
                   const char* what);
 
-/// Apply the CLI's registry/jobs/faults overrides onto a bench's default
-/// spec. trials/seed are NOT applied here -- their meaning varies per
-/// bench (repetitions per scheme, scheme-matrix width, ...), so benches
-/// resolve them explicitly from the options.
+/// Apply the CLI's registry/jobs/faults/freeze-timing overrides onto a
+/// bench's default spec. trials/seed are NOT applied here -- their
+/// meaning varies per bench (repetitions per scheme, scheme-matrix width,
+/// ...), so benches resolve them explicitly from the options.
 void apply_cli(const SweepCliOptions& opts, ExperimentSpec& spec);
 
-/// Run one engine campaign under the CLI's durability and distributed
-/// options; prints nothing to stdout.
+/// Run one engine campaign under the CLI's options; prints nothing to
+/// stdout.
 ///
 /// --json-out: the record is staged in an AtomicFile during the run
 /// (preserving any content the file already holds, so several campaigns
 /// in one process keep appending) and committed -- fsync + rename -- when
 /// the campaign completes. An unwritable path exits(2) BEFORE the sweep
 /// runs; a crash mid-campaign leaves the previous file intact.
-///
-/// --resume: opens (or creates) the campaign's fingerprint-keyed journal,
-/// replays completed trials, runs only the missing ones, and checkpoints
-/// each newly completed trial. A journal from a different campaign
-/// exits(2); campaigns that record per-tick samples cannot resume and
-/// exit(2) with an explanation.
-///
-/// --shard I/N: like --resume, but into the shard's own journal
-/// (BASE.<campaign>.shard-I-of-N.journal) and running only the owned
-/// trials. record_samples is forced off (per-tick samples cannot be
-/// journaled; the JSON record never contained them, so its bytes are
-/// unchanged).
-///
-/// --merge BASE: discover + validate the campaign's shard journals, write
-/// the merged unsharded journal, then replay it through the engine --
-/// journaled trials restore bit-exactly, missing ones re-run live under
-/// the same retry flag (deterministic failures re-quarantine
-/// identically). Invalid shard sets exit(2) naming the offending field.
 EngineResult run_campaign(ExperimentSpec spec, const SweepCliOptions& opts);
 
 /// A bench's human-readable report of one campaign (tables, anchors).
 using FigureReport = std::function<void(const EngineResult&)>;
 
-/// Run one campaign and report it: figure(result) in a plain run; in a
-/// shard worker or merger, which have no per-tick samples and hold
-/// default summaries in non-owned slots, a progress note on stderr
-/// instead. The campaign's JSON line then goes to stdout in every role.
+/// Run one campaign and report it: figure(result), then the campaign's
+/// JSON line on stdout.
 void run_campaign(const ExperimentSpec& spec, const SweepCliOptions& opts,
                   const FigureReport& figure);
 

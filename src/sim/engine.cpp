@@ -1,8 +1,8 @@
 #include "sim/engine.h"
 
-#include <chrono>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -11,7 +11,6 @@
 #include "common/constants.h"
 #include "common/error.h"
 #include "core/delay_multibeam.h"
-#include "sim/journal.h"
 #include "sim/runner.h"
 #include "sim/telemetry.h"
 #include "sim/workspace.h"
@@ -234,21 +233,7 @@ std::unique_ptr<core::BeamController> ControllerRegistry::make(
 }
 
 EngineResult Engine::run(const ExperimentSpec& spec, TelemetrySink* sink) {
-  return run(spec, sink, EngineOptions{});
-}
-
-EngineResult Engine::run(const ExperimentSpec& spec, TelemetrySink* sink,
-                         const EngineOptions& options) {
   MMR_EXPECTS(spec.trials >= 1);
-  // Journal replay restores summaries/faults/labels but not per-tick
-  // sample series; campaigns that need samples cannot resume.
-  MMR_EXPECTS(options.journal == nullptr || !spec.record_samples);
-  MMR_EXPECTS(options.shard.valid());
-  // A sharded worker's sample table would be full of holes.
-  MMR_EXPECTS(!options.shard.enabled() || !spec.record_samples);
-  // A shard worker may only checkpoint into its own shard's journal.
-  MMR_EXPECTS(options.journal == nullptr ||
-              options.journal->shard() == options.shard);
   const ScenarioRegistry& scenarios = ScenarioRegistry::instance();
   const ControllerRegistry& controllers = ControllerRegistry::instance();
   // Fail fast on the authored names; `customize` may rewrite them per
@@ -265,139 +250,51 @@ EngineResult Engine::run(const ExperimentSpec& spec, TelemetrySink* sink,
   if (spec.record_samples) result.samples.resize(spec.trials);
   result.fault_events.resize(spec.trials);
   // Index-addressed failure slots (workers never share a slot).
-  std::vector<std::unique_ptr<TrialFailure>> failure_slots(spec.trials);
-  const std::map<std::size_t, JournalTrial>* journaled =
-      options.journal != nullptr ? &options.journal->completed() : nullptr;
+  std::vector<std::optional<TrialFailure>> failure_slots(spec.trials);
 
   SweepRunner runner({spec.trials, spec.jobs, spec.seed});
   // Trials only write to index-addressed slots; see sim/sweep.h for the
   // determinism contract.
   result.trials = runner.run([&](TrialContext& ctx) -> core::LinkSummary {
-    if (options.shard.enabled() && !options.shard.owns(ctx.index)) {
-      // Another shard owns this trial: leave a default slot. ctx was
-      // derived but never drawn from, so the owned trials' streams are
-      // exactly the 1-process streams.
-      return core::LinkSummary{};
-    }
-    if (journaled != nullptr) {
-      const auto it = journaled->find(ctx.index);
-      if (it != journaled->end()) {
-        // Checkpoint replay: restore the journaled result bit-exactly
-        // without executing the trial. (Timing is patched in after the
-        // barrier; the runner would otherwise overwrite it with the
-        // near-zero replay cost.)
-        const JournalTrial& jt = it->second;
-        if (spec.label) result.labels[ctx.index] = jt.label;
-        result.fault_events[ctx.index] = jt.faults;
-        return jt.summary;
+    try {
+      ScenarioSpec scenario = spec.scenario;
+      ControllerSpec controller = spec.controller;
+      RunConfig rc = spec.run;
+      if (spec.seed_policy == SeedPolicy::kPerTrialStream) {
+        scenario.config.seed = ctx.stream_seed;
       }
-    }
-    const std::size_t max_attempts = 1 + options.trial_retries;
-    std::string last_error;
-    core::LinkSummary summary;
-    double wall_s = 0.0, cpu_s = 0.0;
-    bool succeeded = false;
-    // Per-trial scratch arena for the world's scoring hot path; reset
-    // between retry attempts (a retried trial reuses the same chunks and
-    // stays bit-identical -- pinned by the props tier).
-    TrialWorkspace workspace;
-    for (std::size_t attempt = 0; attempt < max_attempts && !succeeded;
-         ++attempt) {
-      workspace.reset();
-      try {
-        // Every attempt restarts from pristine copies of the spec and the
-        // SAME deterministic Rng stream (ctx is untouched), so a retried
-        // trial that succeeds is bit-identical to one that succeeded
-        // first try.
-        ScenarioSpec scenario = spec.scenario;
-        ControllerSpec controller = spec.controller;
-        RunConfig rc = spec.run;
-        if (spec.seed_policy == SeedPolicy::kPerTrialStream) {
-          scenario.config.seed = ctx.stream_seed;
-        }
-        if (spec.customize) spec.customize(ctx, scenario, controller, rc);
-        if (spec.label) result.labels[ctx.index] = spec.label(ctx);
-        if (rc.faults.enabled()) {
-          rc.faults.seed = link_fault_seed(rc.faults.seed, ctx.stream_seed);
-        }
-
-        const auto start = std::chrono::steady_clock::now();
-        const double cpu_start = thread_cpu_now_s();
-        LinkSession link(scenario, controller, &workspace);
-        RunResult rr = run_experiment(link, rc);
-        cpu_s = thread_cpu_now_s() - cpu_start;
-        wall_s = std::chrono::duration<double>(
-                     std::chrono::steady_clock::now() - start)
-                     .count();
-        if (spec.record_samples) {
-          result.samples[ctx.index] = std::move(rr.samples);
-        }
-        result.fault_events[ctx.index] = std::move(rr.fault_events);
-        summary = rr.summary;
-        succeeded = true;
-      } catch (const std::exception& e) {
-        last_error = e.what();
-      } catch (...) {
-        last_error = "unknown exception";
+      if (spec.customize) spec.customize(ctx, scenario, controller, rc);
+      if (spec.label) result.labels[ctx.index] = spec.label(ctx);
+      if (rc.faults.enabled()) {
+        rc.faults.seed = link_fault_seed(rc.faults.seed, ctx.stream_seed);
       }
+      // Per-trial scratch arena for the world's scoring hot path.
+      TrialWorkspace workspace;
+      LinkSession link(scenario, controller, &workspace);
+      RunResult rr = run_experiment(link, rc);
+      if (spec.record_samples) {
+        result.samples[ctx.index] = std::move(rr.samples);
+      }
+      result.fault_events[ctx.index] = std::move(rr.fault_events);
+      return rr.summary;
+    } catch (const std::exception& e) {
+      failure_slots[ctx.index] =
+          TrialFailure{ctx.index, ctx.stream_seed, e.what()};
+    } catch (...) {
+      failure_slots[ctx.index] =
+          TrialFailure{ctx.index, ctx.stream_seed, "unknown exception"};
     }
-    if (!succeeded) {
-      // Quarantine: the trial keeps its slot (default summary), the sweep
-      // keeps running, and the failure is reported out-of-band.
-      auto failure = std::make_unique<TrialFailure>();
-      failure->index = ctx.index;
-      failure->stream_seed = ctx.stream_seed;
-      failure->attempts = max_attempts;
-      failure->error = last_error;
-      failure_slots[ctx.index] = std::move(failure);
-      return core::LinkSummary{};
-    }
-    if (options.journal != nullptr) {
-      // Checkpoint the completed trial (append + fsync). An I/O failure
-      // here intentionally propagates and aborts the sweep: continuing
-      // without durability would break the resume contract silently.
-      JournalTrial jt;
-      jt.index = ctx.index;
-      jt.wall_s = wall_s;
-      jt.cpu_s = cpu_s;
-      if (spec.label) jt.label = result.labels[ctx.index];
-      jt.summary = summary;
-      jt.faults = result.fault_events[ctx.index];
-      options.journal->record(jt);
-    }
-    return summary;
+    // Quarantine: the trial keeps its slot (default summary), the sweep
+    // keeps running, and the failure is reported out-of-band.
+    return core::LinkSummary{};
   });
   result.timing = runner.timing();
-  if (options.shard.enabled()) {
-    result.skipped_trials =
-        spec.trials - options.shard.owned_of(spec.trials);
-  }
-
-  // The worker's pass over its owned trials is complete: seal the shard
-  // journal (fsync'd count + fingerprint footer) so the file becomes
-  // safe to copy between machines and the merger can tell "finished"
-  // from "crashed mid-run". Unsharded journals are never copied around,
-  // so they stay seal-free and byte-compatible with earlier formats.
-  if (options.journal != nullptr && options.shard.enabled()) {
-    options.journal->seal();
-  }
-
-  // Patch replayed trials' timing back to what the original run measured
-  // (the runner only saw the near-zero replay cost).
-  if (journaled != nullptr) {
-    for (const auto& [index, jt] : *journaled) {
-      if (index >= result.trials.size()) continue;
-      result.trials[index].wall_s = jt.wall_s;
-      result.trials[index].cpu_s = jt.cpu_s;
-      ++result.replayed_trials;
-    }
-  }
 
   for (auto& slot : failure_slots) {
-    if (slot != nullptr) result.failures.push_back(std::move(*slot));
+    if (slot.has_value()) result.failures.push_back(std::move(*slot));
   }
 
-  if (options.freeze_timing) freeze_sweep_timing(result.timing, result.trials);
+  if (spec.freeze_timing) freeze_sweep_timing(result.timing, result.trials);
 
   // Quarantined trials carry default summaries; keep them out of the
   // aggregate so one bad trial cannot poison the campaign statistics.

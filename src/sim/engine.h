@@ -29,13 +29,11 @@
 #include "core/controller_base.h"
 #include "sim/runner.h"
 #include "sim/scenario.h"
-#include "sim/shard.h"
 #include "sim/sweep.h"
 #include "sim/world.h"
 
 namespace mmr::sim {
 
-class CampaignJournal;
 class TelemetrySink;
 
 /// A walking blocker crossing the scenario's link line.
@@ -164,6 +162,10 @@ struct ExperimentSpec {
   /// Keep per-tick samples in EngineResult::samples. Off by default: big
   /// sweeps only need summaries.
   bool record_samples = false;
+  /// Zero every timing field (per-trial wall/cpu, sweep wall /
+  /// serial-equivalent) so the JSON record is a pure function of
+  /// (spec, seed) -- the mode byte-diffing tests and tools run under.
+  bool freeze_timing = false;
 
   /// Per-trial hook, run after the seed policy: mutate the copied specs
   /// for this trial (scheme matrices, randomized blockers, ...). Must be
@@ -173,42 +175,6 @@ struct ExperimentSpec {
       customize;
   /// Optional per-trial label for the JSON record.
   std::function<std::string(const TrialContext& ctx)> label;
-};
-
-/// Durable-execution knobs for Engine::run. The defaults reproduce the
-/// plain (non-durable) engine exactly: no journal, a throwing trial is
-/// quarantined after one attempt, live timing.
-struct EngineOptions {
-  /// Checkpoint journal (sim/journal.h). Trials found in
-  /// journal->completed() are REPLAYED -- summary, wall/cpu time, label,
-  /// and fault events restored bit-exactly, the trial body never runs --
-  /// and every freshly completed trial is appended + fsync'd. Replay of
-  /// per-tick samples is not supported: combining a journal with
-  /// spec.record_samples throws (MMR_EXPECTS).
-  CampaignJournal* journal = nullptr;
-  /// Extra attempts for a trial whose body throws, each re-run from the
-  /// same deterministic Rng stream (a retry of a deterministic failure
-  /// fails again; the budget exists for environmental flakes). When the
-  /// budget is exhausted the trial is QUARANTINED: it keeps its slot with
-  /// a default LinkSummary, is excluded from the aggregate, and appears
-  /// as a TrialFailure in the result / telemetry / sweep JSON instead of
-  /// killing the sweep.
-  std::size_t trial_retries = 0;
-  /// Zero every timing field (per-trial wall/cpu, sweep wall /
-  /// serial-equivalent) so the JSON record is a pure function of
-  /// (spec, seed) -- the mode the crash/resume byte-identity tests and
-  /// any diff-based tooling run under.
-  bool freeze_timing = false;
-  /// Distributed sharding (sim/shard.h): when enabled, trials this worker
-  /// does not own are SKIPPED -- no world build, no journal record, no
-  /// failure slot; they keep default summaries and count in
-  /// EngineResult::skipped_trials. Because trial randomness derives
-  /// purely from (base_seed, index), skipping cannot perturb the owned
-  /// trials' Rng streams: shard k's trial j is bit-identical to the
-  /// 1-process trial j. Requires !spec.record_samples (a shard's sample
-  /// table would be full of holes) and, when a journal is attached, the
-  /// journal's shard plan must equal this one (MMR_EXPECTS).
-  ShardPlan shard;
 };
 
 /// Everything Engine::run produces.
@@ -224,11 +190,6 @@ struct EngineResult {
   /// Quarantined trials in index order (empty means every trial
   /// succeeded).
   std::vector<TrialFailure> failures;
-  /// Trials replayed from the journal instead of executed.
-  std::size_t replayed_trials = 0;
-  /// Trials skipped because another shard owns them (sharded runs only;
-  /// their slots hold default summaries).
-  std::size_t skipped_trials = 0;
   SweepTiming timing;
   SweepSummary aggregate;
 };
@@ -236,21 +197,18 @@ struct EngineResult {
 /// Evaluates ExperimentSpecs over the deterministic sweep runner.
 class Engine {
  public:
-  /// Run the campaign. When `sink` is non-null it receives, after the
-  /// sweep barrier and in trial-index order, each trial's on_fault events
-  /// and then on_trial_failure for a quarantined trial, followed by one
-  /// on_sweep record.
+  /// Run the campaign. A trial whose body throws is QUARANTINED after its
+  /// one attempt: it keeps its slot with a default LinkSummary, is
+  /// excluded from the aggregate, and appears as a TrialFailure in the
+  /// result instead of killing the sweep. When `sink` is non-null it
+  /// receives, after the sweep barrier and in trial-index order, each
+  /// trial's on_fault events and then on_trial_failure for a quarantined
+  /// trial, followed by one on_sweep record.
   ///
   /// Fault seeding: a live spec.run.faults (after `customize`) runs under
   /// link_fault_seed(seed, ctx.stream_seed) -- seed 0 derives a per-trial
   /// stream.
   EngineResult run(const ExperimentSpec& spec, TelemetrySink* sink = nullptr);
-
-  /// Durable variant: checkpoint/resume via options.journal, per-trial
-  /// retry/quarantine, frozen timing. With
-  /// default-constructed options this is exactly the plain overload.
-  EngineResult run(const ExperimentSpec& spec, TelemetrySink* sink,
-                   const EngineOptions& options);
 };
 
 }  // namespace mmr::sim

@@ -126,8 +126,8 @@ void write_sweep_json(std::ostream& os, const std::string& bench_name,
       const TrialFailure& f = failures[i];
       if (i > 0) os << ", ";
       os << "{\"index\": " << f.index << ", \"stream_seed\": "
-         << f.stream_seed << ", \"attempts\": " << f.attempts
-         << ", \"error\": \"" << json_escape(f.error) << "\"}";
+         << f.stream_seed << ", \"error\": \"" << json_escape(f.error)
+         << "\"}";
     }
     os << "], ";
   }

@@ -147,19 +147,17 @@ class SweepRunner {
   SweepTiming timing_;
 };
 
-/// A trial that exhausted its retry budget during a durable campaign: it
-/// is QUARANTINED. Quarantined trials keep their slot in the sweep (with
-/// a default-constructed value) so indices stay stable, but are excluded
-/// from aggregates and reported out-of-band.
+/// A trial whose body threw: it is QUARANTINED. Quarantined trials keep
+/// their slot in the sweep (with a default-constructed value) so indices
+/// stay stable, but are excluded from aggregates and reported
+/// out-of-band.
 struct TrialFailure {
   std::size_t index = 0;
   /// The trial's deterministic Rng stream seed -- enough to re-run exactly
   /// this trial in isolation (`--seed` stays the campaign seed; the stream
   /// is derived from (seed, index)).
   std::uint64_t stream_seed = 0;
-  /// Attempts made (1 + retries consumed).
-  std::size_t attempts = 1;
-  /// what() of the last exception.
+  /// what() of the exception.
   std::string error;
 };
 
@@ -194,12 +192,11 @@ SweepSummary summarize_survivors(
 /// aggregate. `labels` (optional, one per trial) tags trials with e.g. a
 /// scheme name.
 ///
-/// `failures` (optional, in index order) reports quarantined trials from
-/// a durable campaign. When non-empty, quarantined trial entries gain
-/// a `"failed": true` field, the aggregate is computed over the surviving
-/// trials only, and a trailing `"failures": [...]` array carries the
-/// details. When empty (every pre-existing caller) the emitted bytes are
-/// unchanged.
+/// `failures` (optional, in index order) reports quarantined trials.
+/// When non-empty, quarantined trial entries gain a `"failed": true`
+/// field, the aggregate is computed over the surviving trials only, and a
+/// trailing `"failures": [...]` array carries the details. When empty
+/// the emitted bytes carry no failure fields at all.
 void write_sweep_json(std::ostream& os, const std::string& bench_name,
                       std::span<const SweepTrial<core::LinkSummary>> trials,
                       const SweepTiming& timing,
@@ -208,8 +205,8 @@ void write_sweep_json(std::ostream& os, const std::string& bench_name,
 
 /// `s` escaped for the body of a JSON string: `"` and `\` gain a
 /// backslash and a newline becomes `\n` (exception texts can be
-/// multi-line). The one escaper of the sweep JSON, the telemetry lines
-/// and the campaign journal.
+/// multi-line). The one escaper of the sweep JSON and the telemetry
+/// lines.
 std::string json_escape(const std::string& s);
 
 }  // namespace mmr::sim

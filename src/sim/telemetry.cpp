@@ -72,8 +72,7 @@ void JsonLinesSink::on_handover(const core::HandoverEvent& event) {
 
 void JsonLinesSink::on_trial_failure(const TrialFailure& failure) {
   os_ << "{\"trial_failure\": {\"index\": " << failure.index
-      << ", \"stream_seed\": " << failure.stream_seed
-      << ", \"attempts\": " << failure.attempts << ", \"error\": \""
+      << ", \"stream_seed\": " << failure.stream_seed << ", \"error\": \""
       << json_escape(failure.error) << "\"}}\n";
   record_written();
 }

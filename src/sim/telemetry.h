@@ -116,8 +116,7 @@ class TelemetrySink {
 /// instruction loses at most the one record being written -- never
 /// previously delivered lines sitting in a stream buffer. (Flushing
 /// pushes bytes to the OS; callers that need power-loss durability should
-/// write through common::AtomicFile or fsync the underlying file, as the
-/// bench CLI's --json-out and the CampaignJournal do.)
+/// write through common::AtomicFile, as the bench CLI's --json-out does.)
 ///
 /// At streaming snapshot rates unconditional flushing dominates sink
 /// cost; `flush_every_n = N > 1` amortizes it to one flush per N records

@@ -1,9 +1,9 @@
 // Per-trial scratch bundle: one Arena plus the pmr containers the
 // LinkWorld scoring hot path (set_time + true_snr_db) draws from. The
-// engine creates one TrialWorkspace per trial, binds it to the trial's
-// world (LinkWorld::bind_workspace), and reset()s it between retry
-// attempts -- so a steady-state trial performs zero heap allocations in
-// its scoring loop (proven by tests/alloc/zero_alloc_test.cpp).
+// engine creates one TrialWorkspace per trial and binds it to the
+// trial's world (LinkWorld::bind_workspace), so a steady-state trial
+// performs zero heap allocations in its scoring loop (proven by
+// tests/alloc/zero_alloc_test.cpp).
 //
 // The delay-phasor slot holds ONE world's per-tick phasor table, keyed
 // by a tick id the workspace hands out (next_tick_id). Every set_time and

@@ -1,5 +1,6 @@
-// Durable engine execution: per-trial retry with deterministic streams,
-// quarantine after exhausted retries, frozen timing.
+// The engine's single-attempt quarantine (a throwing trial keeps its
+// slot, is reported with its index and stream seed, and stays out of the
+// aggregate) and frozen timing.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -9,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "sim/engine.h"
 #include "sim/telemetry.h"
 #include "tests/common/capture_sink.h"
@@ -19,7 +21,7 @@ namespace {
 /// A small, fast campaign every test starts from.
 ExperimentSpec base_spec(std::size_t trials = 4) {
   ExperimentSpec spec;
-  spec.name = "durability_demo";
+  spec.name = "quarantine_demo";
   spec.scenario.name = "indoor";
   spec.controller.name = "mmreliable";
   spec.run.duration_s = 0.1;
@@ -29,48 +31,7 @@ ExperimentSpec base_spec(std::size_t trials = 4) {
   return spec;
 }
 
-void expect_trials_identical(
-    const std::vector<SweepTrial<core::LinkSummary>>& a,
-    const std::vector<SweepTrial<core::LinkSummary>>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    SCOPED_TRACE(i);
-    EXPECT_EQ(a[i].value.reliability, b[i].value.reliability);
-    EXPECT_EQ(a[i].value.mean_throughput_bps,
-              b[i].value.mean_throughput_bps);
-    EXPECT_EQ(a[i].value.mean_spectral_efficiency,
-              b[i].value.mean_spectral_efficiency);
-    EXPECT_EQ(a[i].value.throughput_reliability_product,
-              b[i].value.throughput_reliability_product);
-    EXPECT_EQ(a[i].value.num_samples, b[i].value.num_samples);
-  }
-}
-
-TEST(RetryQuarantine, TransientFailureIsRetriedBitIdentically) {
-  // Trial 1 throws exactly once; with one retry the sweep must produce
-  // results bit-identical to a sweep that never failed (the retry restarts
-  // from the same deterministic Rng stream).
-  const EngineResult clean = Engine().run(base_spec());
-
-  ExperimentSpec flaky = base_spec();
-  auto first_attempt = std::make_shared<std::atomic<bool>>(true);
-  flaky.customize = [first_attempt](const TrialContext& ctx, ScenarioSpec&,
-                                    ControllerSpec&, RunConfig&) {
-    if (ctx.index == 1 && first_attempt->exchange(false)) {
-      throw std::runtime_error("transient fault injected by test");
-    }
-  };
-  EngineOptions opts;
-  opts.trial_retries = 1;
-  const EngineResult retried = Engine().run(flaky, nullptr, opts);
-
-  EXPECT_TRUE(retried.failures.empty());
-  expect_trials_identical(retried.trials, clean.trials);
-  EXPECT_EQ(retried.aggregate.mean_reliability,
-            clean.aggregate.mean_reliability);
-}
-
-TEST(RetryQuarantine, ExhaustedRetriesQuarantineWithoutAbortingTheSweep) {
+TEST(Quarantine, ThrowingTrialIsQuarantinedAfterOneAttempt) {
   ExperimentSpec spec = base_spec();
   auto attempts_seen = std::make_shared<std::atomic<int>>(0);
   spec.customize = [attempts_seen](const TrialContext& ctx, ScenarioSpec&,
@@ -80,22 +41,20 @@ TEST(RetryQuarantine, ExhaustedRetriesQuarantineWithoutAbortingTheSweep) {
       throw std::runtime_error("deterministic failure in trial 2");
     }
   };
-  EngineOptions opts;
-  opts.trial_retries = 2;
   mmr::testing::CaptureSink sink;
-  const EngineResult r = Engine().run(spec, &sink, opts);
+  const EngineResult r = Engine().run(spec, &sink);
 
   // The sweep completed: every trial keeps its slot.
   ASSERT_EQ(r.trials.size(), 4u);
-  EXPECT_EQ(attempts_seen->load(), 3);  // 1 try + 2 retries
+  EXPECT_EQ(attempts_seen->load(), 1);  // never re-run
 
   ASSERT_EQ(r.failures.size(), 1u);
   const TrialFailure& f = r.failures[0];
   EXPECT_EQ(f.index, 2u);
-  EXPECT_EQ(f.attempts, 3u);
   EXPECT_NE(f.error.find("deterministic failure in trial 2"),
             std::string::npos);
-  EXPECT_NE(f.stream_seed, 0u);
+  // The stream seed re-runs exactly this trial in isolation.
+  EXPECT_EQ(f.stream_seed, Rng::derive_stream_seed(spec.seed, 2));
 
   // Quarantined slot holds a default summary...
   EXPECT_EQ(r.trials[2].value.num_samples, 0u);
@@ -112,48 +71,44 @@ TEST(RetryQuarantine, ExhaustedRetriesQuarantineWithoutAbortingTheSweep) {
   EXPECT_EQ(sink.failures[0].index, 2u);
 }
 
-TEST(RetryQuarantine, QuarantineIsReportedInSweepJson) {
+TEST(Quarantine, QuarantineIsReportedInSweepJson) {
   ExperimentSpec spec = base_spec(3);
   spec.customize = [](const TrialContext& ctx, ScenarioSpec&,
                       ControllerSpec&, RunConfig&) {
     if (ctx.index == 0) throw std::runtime_error("boom");
   };
-  EngineOptions opts;
-  opts.freeze_timing = true;
+  spec.freeze_timing = true;
   std::ostringstream os;
   JsonLinesSink sink(os);
-  (void)Engine().run(spec, &sink, opts);
+  (void)Engine().run(spec, &sink);
   const std::string json = os.str();
   EXPECT_NE(json.find("\"trial_failure\""), std::string::npos);
   EXPECT_NE(json.find("\"failed\": true"), std::string::npos);
   EXPECT_NE(json.find("\"failures\": [{\"index\": 0, "), std::string::npos);
-  EXPECT_NE(json.find("\"attempts\": 1, \"error\": \"boom\"}"),
-            std::string::npos);
-  // Every failure is a quarantine: no key restates it.
+  EXPECT_NE(json.find(", \"error\": \"boom\"}"), std::string::npos);
+  // Every failure is a quarantine after one attempt: no key restates it.
   EXPECT_EQ(json.find("quarantined"), std::string::npos);
+  EXPECT_EQ(json.find("attempts"), std::string::npos);
 }
 
-TEST(RetryQuarantine, CleanRunEmitsNoFailureMachinery) {
+TEST(Quarantine, CleanRunEmitsNoFailureFields) {
   // Byte-compat guard: without failures the JSON must not mention the
   // failure fields at all (older consumers never see new keys).
   ExperimentSpec spec = base_spec(2);
-  EngineOptions opts;
-  opts.trial_retries = 3;  // budget present but unused
-  opts.freeze_timing = true;
+  spec.freeze_timing = true;
   std::ostringstream os;
   JsonLinesSink sink(os);
-  const EngineResult r = Engine().run(spec, &sink, opts);
+  const EngineResult r = Engine().run(spec, &sink);
   EXPECT_TRUE(r.failures.empty());
   EXPECT_EQ(os.str().find("\"failed\""), std::string::npos);
   EXPECT_EQ(os.str().find("\"failures\""), std::string::npos);
   EXPECT_EQ(os.str().find("\"trial_failure\""), std::string::npos);
 }
 
-TEST(RetryQuarantine, FreezeTimingZeroesEveryTimingField) {
+TEST(Quarantine, FreezeTimingZeroesEveryTimingField) {
   ExperimentSpec spec = base_spec(2);
-  EngineOptions opts;
-  opts.freeze_timing = true;
-  const EngineResult r = Engine().run(spec, nullptr, opts);
+  spec.freeze_timing = true;
+  const EngineResult r = Engine().run(spec);
   EXPECT_EQ(r.timing.wall_s, 0.0);
   EXPECT_EQ(r.timing.serial_equivalent_s, 0.0);
   for (const auto& t : r.trials) {
@@ -163,18 +118,9 @@ TEST(RetryQuarantine, FreezeTimingZeroesEveryTimingField) {
   // Frozen runs of the same spec serialize to identical bytes.
   std::ostringstream a, b;
   JsonLinesSink sa(a), sb(b);
-  (void)Engine().run(spec, &sa, opts);
-  (void)Engine().run(spec, &sb, opts);
+  (void)Engine().run(spec, &sa);
+  (void)Engine().run(spec, &sb);
   EXPECT_EQ(a.str(), b.str());
-}
-
-TEST(RetryQuarantine, DefaultOptionsMatchThePlainOverload) {
-  ExperimentSpec spec = base_spec(3);
-  const EngineResult plain = Engine().run(spec);
-  const EngineResult durable = Engine().run(spec, nullptr, EngineOptions{});
-  expect_trials_identical(plain.trials, durable.trials);
-  EXPECT_TRUE(durable.failures.empty());
-  EXPECT_EQ(durable.replayed_trials, 0u);
 }
 
 }  // namespace

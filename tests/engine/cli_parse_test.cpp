@@ -2,16 +2,25 @@
 // campaign CLI flag handling itself (sim/campaign_cli.h). The old
 // strtoull-based parsing accepted "abc" as 0 (= every hardware thread)
 // and "12x" as 12; these pins make sure garbage exits with status 2
-// instead of being silently truncated.
+// instead of being silently truncated. A mutation sweep drives the
+// numeric parsers with 10^5 Rng::fork-drawn truncations, bit flips and
+// splices each and compares them with reference readers.
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <clocale>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/parse.h"
+#include "common/rng.h"
 #include "dsp/backend.h"
 #include "sim/campaign_cli.h"
 
@@ -76,6 +85,36 @@ TEST(ParseSize, TracksU64Semantics) {
   EXPECT_EQ(v, 123u);
 }
 
+TEST(ParseF64, AcceptsPlainNonNegativeDecimals) {
+  double v = -1.0;
+  EXPECT_TRUE(parse_f64("0", v));
+  EXPECT_EQ(v, 0.0);
+  EXPECT_TRUE(parse_f64("2.5", v));
+  EXPECT_EQ(v, 2.5);
+  EXPECT_TRUE(parse_f64("0.125", v));
+  EXPECT_EQ(v, 0.125);
+  EXPECT_TRUE(parse_f64(".5", v));
+  EXPECT_EQ(v, 0.5);
+  EXPECT_TRUE(parse_f64("1e3", v));
+  EXPECT_EQ(v, 1000.0);
+}
+
+TEST(ParseF64, RejectsGarbageSignsAndNonFinites) {
+  double v = 7.0;
+  EXPECT_FALSE(parse_f64(nullptr, v));
+  EXPECT_FALSE(parse_f64("", v));
+  EXPECT_FALSE(parse_f64("abc", v));
+  EXPECT_FALSE(parse_f64("1.5x", v));   // trailing garbage
+  EXPECT_FALSE(parse_f64("-1.5", v));   // negative
+  EXPECT_FALSE(parse_f64("+1.5", v));   // sign
+  EXPECT_FALSE(parse_f64(" 1.5", v));   // leading whitespace
+  EXPECT_FALSE(parse_f64("inf", v));
+  EXPECT_FALSE(parse_f64("nan", v));
+  EXPECT_FALSE(parse_f64("0x10", v));   // hex floats
+  EXPECT_FALSE(parse_f64("1e400", v));  // overflow
+  EXPECT_EQ(v, 7.0) << "failed parse must not clobber the output";
+}
+
 TEST(ParseF64, RejectsSignedAndHexFloatSpellings) {
   double v = 9.0;
   EXPECT_FALSE(parse_f64("+1.5", v));    // explicit sign
@@ -111,6 +150,137 @@ TEST(ParseF64, IsLocaleIndependent) {
   EXPECT_FALSE(comma_ok);
 }
 
+// --- mutation sweep of the numeric parsers -----------------------------
+
+/// Mutated inputs per parser family.
+constexpr std::size_t kMutatedInputs = 100000;
+
+/// A prefix of `bytes` of uniformly drawn length (possibly empty).
+std::string truncate(const std::string& bytes, Rng& rng) {
+  return bytes.substr(0, rng.uniform_index(bytes.size() + 1));
+}
+
+/// `bytes` with 1-3 single-bit flips (`bytes` must be non-empty).
+std::string flip_bits(const std::string& bytes, Rng& rng) {
+  std::string out = bytes;
+  const std::uint64_t flips = 1 + rng.uniform_index(3);
+  for (std::uint64_t f = 0; f < flips; ++f) {
+    const std::size_t at = rng.uniform_index(out.size());
+    out[at] = static_cast<char>(out[at] ^ (1u << rng.uniform_index(8)));
+  }
+  return out;
+}
+
+/// The head of `a` joined to the tail of `b`, both cut at drawn offsets.
+std::string splice(const std::string& a, const std::string& b, Rng& rng) {
+  const std::size_t head = rng.uniform_index(a.size() + 1);
+  const std::size_t tail = rng.uniform_index(b.size() + 1);
+  return a.substr(0, head) + b.substr(tail);
+}
+
+/// A mutated copy of a corpus entry: truncated, bit-flipped, or spliced
+/// with another entry, drawn from `rng`.
+std::string mutate(const std::vector<std::string>& corpus, Rng& rng) {
+  const std::string& base = corpus[rng.uniform_index(corpus.size())];
+  switch (rng.uniform_index(3)) {
+    case 0:
+      return truncate(base, rng);
+    case 1:
+      return flip_bits(base, rng);
+    default:
+      return splice(base, corpus[rng.uniform_index(corpus.size())], rng);
+  }
+}
+
+/// Reference reader of one base-10 size_t: digits only, no overflow.
+std::optional<std::size_t> reference_size(const std::string& text) {
+  if (text.empty()) return std::nullopt;
+  std::size_t value = 0;
+  for (const char c : text) {
+    if (c < '0' || c > '9') return std::nullopt;
+    const auto digit = static_cast<std::size_t>(c - '0');
+    if (value > (std::numeric_limits<std::size_t>::max() - digit) / 10) {
+      return std::nullopt;
+    }
+    value = value * 10 + digit;
+  }
+  return value;
+}
+
+std::string printable(const std::string& bytes) {
+  std::string out;
+  for (const char c : bytes) {
+    const auto u = static_cast<unsigned char>(c);
+    if (u >= 0x20 && u < 0x7f && c != '\\') {
+      out += c;
+    } else {
+      char hex[8];
+      std::snprintf(hex, sizeof hex, "\\x%02x", u);
+      out += hex;
+    }
+  }
+  return out;
+}
+
+TEST(ReaderMutation, NumericParsersMatchTheirReferences) {
+  const std::vector<std::string> integers = {
+      "0", "7", "12345", "00042", "18446744073709551615",
+      "18446744073709551616", "99999999999999999999"};
+  const std::vector<std::string> reals = {
+      "0",   "2.5",  ".5",  "1e3", "0.125", "1.7976931348623157e308",
+      "1e400", "2.2250738585072014e-308", "123456789012345678901234567890",
+      "5.", "0x1p3", "1E-3"};
+  const Rng root(0x6e756d62ull);  // "numb"
+  std::size_t accepted_f64 = 0;
+  for (std::size_t i = 0; i < kMutatedInputs; ++i) {
+    Rng rng = root.fork(i);
+    const std::string text = mutate(integers, rng);
+    // The readers take a C string: they see the input up to its first NUL.
+    const std::string seen = text.substr(0, std::strlen(text.c_str()));
+    const std::optional<std::size_t> want = reference_size(seen);
+    std::uint64_t u64 = 0xdeadbeef;
+    std::size_t size = 0xdeadbeef;
+    const bool got_u64 = parse_u64(text.c_str(), u64);
+    const bool got_size = parse_size(text.c_str(), size);
+    ASSERT_EQ(got_u64, want.has_value()) << printable(text);
+    ASSERT_EQ(got_size, want.has_value()) << printable(text);
+    if (want) {
+      ASSERT_EQ(u64, *want) << printable(text);
+      ASSERT_EQ(size, *want) << printable(text);
+    } else {
+      ASSERT_EQ(u64, 0xdeadbeefu) << "a refused parse clobbered its output";
+      ASSERT_EQ(size, 0xdeadbeefu) << "a refused parse clobbered its output";
+    }
+  }
+  for (std::size_t i = 0; i < kMutatedInputs; ++i) {
+    Rng rng = root.fork(kMutatedInputs + i);
+    const std::string text = mutate(reals, rng);
+    const char* c = text.c_str();
+    double got = -1.0;
+    const bool ok = parse_f64(c, got);
+    // strtod reads the same decimal grammar plus signs, whitespace, hex,
+    // inf and nan, which parse_f64 refuses by contract.
+    errno = 0;
+    char* end = nullptr;
+    const double ref = std::strtod(c, &end);
+    const bool ref_clean = *c != '\0' && *end == '\0' && errno == 0 &&
+                           ((*c >= '0' && *c <= '9') || *c == '.') &&
+                           std::strpbrk(c, "xXpP") == nullptr &&
+                           std::isfinite(ref) && ref >= 0.0;
+    if (ok) {
+      ++accepted_f64;
+      ASSERT_TRUE(std::isfinite(got) && got >= 0.0) << printable(text);
+      ASSERT_EQ(*end, '\0') << "strtod stops early on " << printable(text);
+      ASSERT_EQ(got, ref) << printable(text);
+    } else {
+      ASSERT_EQ(got, -1.0) << "a refused parse clobbered its output";
+      ASSERT_FALSE(ref_clean) << "refused a plain decimal: "
+                              << printable(text);
+    }
+  }
+  EXPECT_GT(accepted_f64, 0u);
+}
+
 // --- campaign CLI flag handling ----------------------------------------
 
 std::vector<char*> argv_of(std::vector<std::string>& args) {
@@ -124,7 +294,8 @@ TEST(SweepCli, ParsesAllFlagsInBothForms) {
   std::vector<std::string> args = {"prog",       "--jobs",     "4",
                                    "--trials=9", "--seed",     "77",
                                    "--scenario", "outdoor",    "--controller=reactive",
-                                   "--json-out", "/tmp/x.json"};
+                                   "--json-out", "/tmp/x.json",
+                                   "--freeze-timing"};
   auto argv = argv_of(args);
   const sim::SweepCliOptions opts =
       sim::parse_sweep_cli(static_cast<int>(argv.size()), argv.data());
@@ -134,6 +305,7 @@ TEST(SweepCli, ParsesAllFlagsInBothForms) {
   EXPECT_EQ(opts.scenario, "outdoor");
   EXPECT_EQ(opts.controller, "reactive");
   EXPECT_EQ(opts.json_out, "/tmp/x.json");
+  EXPECT_TRUE(opts.freeze_timing);
 }
 
 TEST(SweepCli, DefaultsWhenNoFlags) {
@@ -147,6 +319,7 @@ TEST(SweepCli, DefaultsWhenNoFlags) {
   EXPECT_TRUE(opts.scenario.empty());
   EXPECT_TRUE(opts.controller.empty());
   EXPECT_TRUE(opts.json_out.empty());
+  EXPECT_FALSE(opts.freeze_timing);
 }
 
 int run_cli(std::vector<std::string> args) {
@@ -178,15 +351,25 @@ TEST(SweepCliDeathTest, MissingValueExits2) {
 TEST(SweepCliDeathTest, UnknownFlagExits2) {
   EXPECT_EXIT(run_cli({"prog", "--frobnicate"}),
               ::testing::ExitedWithCode(2), "unknown argument");
-  // Spellings of the retired multi-process fleet fail loudly too.
-  EXPECT_EXIT(run_cli({"prog", "--resume", "/tmp/b", "--shard-queue",
-                       "/tmp/q"}),
+  // Spellings of the retired durable and distributed campaigns fail
+  // loudly too.
+  EXPECT_EXIT(run_cli({"prog", "--resume", "x"}),
+              ::testing::ExitedWithCode(2), "unknown argument: --resume");
+  EXPECT_EXIT(run_cli({"prog", "--trial-retries", "1"}),
+              ::testing::ExitedWithCode(2),
+              "unknown argument: --trial-retries");
+  EXPECT_EXIT(run_cli({"prog", "--shard", "0/2"}),
+              ::testing::ExitedWithCode(2), "unknown argument: --shard");
+  EXPECT_EXIT(run_cli({"prog", "--merge", "x"}),
+              ::testing::ExitedWithCode(2), "unknown argument: --merge");
+  // As do those of the retired multi-process fleet.
+  EXPECT_EXIT(run_cli({"prog", "--shard-queue", "/tmp/q"}),
               ::testing::ExitedWithCode(2), "unknown argument: --shard-queue");
   EXPECT_EXIT(run_cli({"prog", "--shards", "3"}),
               ::testing::ExitedWithCode(2), "unknown argument: --shards");
   EXPECT_EXIT(run_cli({"prog", "--lease-ttl-s", "5"}),
               ::testing::ExitedWithCode(2), "unknown argument: --lease-ttl-s");
-  EXPECT_EXIT(run_cli({"prog", "--merge", "/tmp/b", "--watch"}),
+  EXPECT_EXIT(run_cli({"prog", "--watch"}),
               ::testing::ExitedWithCode(2), "unknown argument: --watch");
   // So does the retired trial watchdog.
   EXPECT_EXIT(run_cli({"prog", "--trial-timeout-s", "5"}),
@@ -199,44 +382,33 @@ TEST(SweepCliDeathTest, ListExits0AndPrintsRegistries) {
               "");
 }
 
-// --- distributed-campaign flags ----------------------------------------
-
-TEST(SweepCli, ParsesShardAndMergeFlags) {
-  std::vector<std::string> args = {"prog", "--resume", "/tmp/base",
-                                   "--shard", "1/3"};
-  auto argv = argv_of(args);
-  const sim::SweepCliOptions opts =
-      sim::parse_sweep_cli(static_cast<int>(argv.size()), argv.data());
-  EXPECT_TRUE(opts.shard.enabled());
-  EXPECT_EQ(opts.shard.index, 1u);
-  EXPECT_EQ(opts.shard.count, 3u);
-
-  std::vector<std::string> margs = {"prog", "--merge=/tmp/base"};
-  auto margv = argv_of(margs);
-  const sim::SweepCliOptions mopts =
-      sim::parse_sweep_cli(static_cast<int>(margv.size()), margv.data());
-  EXPECT_EQ(mopts.merge, "/tmp/base");
+// require_f64 is the strict reader behind the benches' real-valued
+// flags (--duration-s, --cell-spacing-m, ...).
+TEST(SweepCliDeathTest, GarbageF64ValueExits2) {
+  EXPECT_EXIT((void)sim::require_f64("--duration-s", "fast", "prog"),
+              ::testing::ExitedWithCode(2), "invalid value for --duration-s");
 }
 
-TEST(SweepCliDeathTest, MalformedShardSpecExits2) {
-  EXPECT_EXIT(run_cli({"prog", "--resume", "/tmp/b", "--shard", "3/3"}),
-              ::testing::ExitedWithCode(2), "invalid value for --shard");
-  EXPECT_EXIT(run_cli({"prog", "--resume", "/tmp/b", "--shard", "0x1/3"}),
-              ::testing::ExitedWithCode(2), "invalid value for --shard");
-  EXPECT_EXIT(run_cli({"prog", "--resume", "/tmp/b", "--shard", "a/b"}),
-              ::testing::ExitedWithCode(2), "invalid value for --shard");
+TEST(SweepCliDeathTest, NegativeF64ValueExits2) {
+  EXPECT_EXIT((void)sim::require_f64("--duration-s", "-1", "prog"),
+              ::testing::ExitedWithCode(2), "invalid value for --duration-s");
 }
 
-TEST(SweepCliDeathTest, ShardWithoutResumeExits2) {
-  EXPECT_EXIT(run_cli({"prog", "--shard", "0/2"}),
-              ::testing::ExitedWithCode(2), "--resume");
+int campaign_to_unwritable_json() {
+  sim::ExperimentSpec spec;
+  spec.name = "unwritable";
+  spec.scenario.name = "indoor";
+  spec.controller.name = "mmreliable";
+  spec.run.duration_s = 0.05;
+  sim::SweepCliOptions opts;
+  opts.json_out = "/no/such/dir/out.json";
+  (void)sim::run_campaign(spec, opts);
+  return 0;
 }
 
-TEST(SweepCliDeathTest, MergeCombinedWithWorkerFlagsExits2) {
-  EXPECT_EXIT(run_cli({"prog", "--merge", "/tmp/b", "--resume", "/tmp/b"}),
-              ::testing::ExitedWithCode(2), "standalone");
-  EXPECT_EXIT(run_cli({"prog", "--merge", "/tmp/b", "--shard", "0/2"}),
-              ::testing::ExitedWithCode(2), "standalone");
+TEST(SweepCliDeathTest, UnwritableJsonOutExits2BeforeSweeping) {
+  EXPECT_EXIT(campaign_to_unwritable_json(), ::testing::ExitedWithCode(2),
+              "cannot open --json-out file");
 }
 
 // --kernel-backend: scalar/portable are compiled on every target, so
@@ -271,11 +443,13 @@ TEST(SweepCli, ApplyCliOverridesRegistryNamesAndJobs) {
   opts.jobs = 3;
   opts.scenario = "outdoor";
   opts.controller = "reactive";
+  opts.freeze_timing = true;
   sim::ExperimentSpec spec;
   sim::apply_cli(opts, spec);
   EXPECT_EQ(spec.jobs, 3u);
   EXPECT_EQ(spec.scenario.name, "outdoor");
   EXPECT_EQ(spec.controller.name, "reactive");
+  EXPECT_TRUE(spec.freeze_timing);
 
   // Empty overrides keep the bench's defaults.
   sim::SweepCliOptions defaults;
@@ -285,6 +459,7 @@ TEST(SweepCli, ApplyCliOverridesRegistryNamesAndJobs) {
   sim::apply_cli(defaults, spec2);
   EXPECT_EQ(spec2.scenario.name, "indoor_sparse");
   EXPECT_EQ(spec2.controller.name, "beamspy");
+  EXPECT_FALSE(spec2.freeze_timing);
 }
 
 }  // namespace

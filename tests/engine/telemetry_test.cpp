@@ -23,7 +23,8 @@ namespace mmr::sim {
 namespace {
 
 /// A small campaign with a live fault plan, so the sink hears fault
-/// events from every trial.
+/// events from every trial, and frozen timing, so its JSON is a pure
+/// function of the spec.
 ExperimentSpec faulted_campaign(std::size_t jobs) {
   ExperimentSpec spec;
   spec.name = "order";
@@ -33,21 +34,16 @@ ExperimentSpec faulted_campaign(std::size_t jobs) {
   spec.trials = 4;
   spec.jobs = jobs;
   spec.seed = 5;
+  spec.freeze_timing = true;
   return spec;
-}
-
-EngineOptions frozen() {
-  EngineOptions opts;
-  opts.freeze_timing = true;
-  return opts;
 }
 
 TEST(Telemetry, SinkNeverPerturbsTheResult) {
   const ExperimentSpec spec = faulted_campaign(1);
   std::ostringstream os;
   JsonLinesSink sink(os);
-  const EngineResult with_sink = Engine().run(spec, &sink, frozen());
-  const EngineResult without = Engine().run(spec, nullptr, frozen());
+  const EngineResult with_sink = Engine().run(spec, &sink);
+  const EngineResult without = Engine().run(spec);
   ASSERT_EQ(with_sink.trials.size(), without.trials.size());
   for (std::size_t i = 0; i < without.trials.size(); ++i) {
     SCOPED_TRACE(i);
@@ -101,7 +97,7 @@ TEST(Telemetry, EngineReplaysSinkEventsInTrialIndexOrder) {
   auto stream = [](std::size_t jobs) {
     std::ostringstream os;
     JsonLinesSink sink(os);
-    Engine().run(faulted_campaign(jobs), &sink, frozen());
+    Engine().run(faulted_campaign(jobs), &sink);
     return os.str();
   };
   const std::string serial = stream(1);
@@ -117,7 +113,7 @@ TEST(Telemetry, EngineReplaysSinkEventsInTrialIndexOrder) {
   // The fault events arrive trial by trial, each trial's in emission
   // order, then one sweep record.
   mmr::testing::CaptureSink sink;
-  const EngineResult res = Engine().run(faulted_campaign(2), &sink, frozen());
+  const EngineResult res = Engine().run(faulted_campaign(2), &sink);
   std::vector<core::FaultEvent> expected;
   for (const auto& evs : res.fault_events) {
     expected.insert(expected.end(), evs.begin(), evs.end());

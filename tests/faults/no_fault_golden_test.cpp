@@ -84,13 +84,12 @@ void expect_byte_identical(const ExperimentSpec& base) {
   };
   // The fault/sweep JSON stream under frozen timing (so the sweep line
   // is a pure function of the spec).
-  auto run = [](const ExperimentSpec& spec) {
+  auto run = [](ExperimentSpec spec) {
     std::ostringstream os;
     JsonLinesSink sink(os);
-    EngineOptions opts;
-    opts.freeze_timing = true;
+    spec.freeze_timing = true;
     Capture cap;
-    cap.result = Engine().run(spec, &sink, opts);
+    cap.result = Engine().run(spec, &sink);
     cap.stream = os.str();
     return cap;
   };

@@ -115,12 +115,11 @@ TEST(NetworkDeterminism, SingleLinkCampaignMatchesEngineBytes) {
   engine_spec.trials = 3;
   engine_spec.jobs = 2;
   engine_spec.seed = 19;
+  engine_spec.freeze_timing = true;
   std::ostringstream engine_os;
   sim::JsonLinesSink engine_sink(engine_os);
   sim::Engine engine;
-  sim::EngineOptions engine_opts;
-  engine_opts.freeze_timing = true;
-  (void)engine.run(engine_spec, &engine_sink, engine_opts);
+  (void)engine.run(engine_spec, &engine_sink);
 
   net::NetworkCampaignSpec campaign;
   campaign.name = "network_vs_engine";

@@ -120,7 +120,7 @@ TEST(StreamingMoments, MergingAnEmptyOperandIsIdentity) {
   EXPECT_EQ(adopt.max(), 7.0);
 }
 
-// The distributed/streaming shard-merge story leans on this identity: a
+// The streaming shard-merge story leans on this identity: a
 // shard that saw NO sessions merges as a true no-op, down to the last
 // bit. Value equality (EXPECT_EQ on doubles) would let -0.0 or a
 // squashed NaN payload slip through, so compare the raw IEEE-754 bits.
