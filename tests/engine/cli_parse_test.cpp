@@ -294,8 +294,7 @@ TEST(SweepCli, ParsesAllFlagsInBothForms) {
   std::vector<std::string> args = {"prog",       "--jobs",     "4",
                                    "--trials=9", "--seed",     "77",
                                    "--scenario", "outdoor",    "--controller=reactive",
-                                   "--json-out", "/tmp/x.json",
-                                   "--freeze-timing"};
+                                   "--json-out", "/tmp/x.json"};
   auto argv = argv_of(args);
   const sim::SweepCliOptions opts =
       sim::parse_sweep_cli(static_cast<int>(argv.size()), argv.data());
@@ -305,7 +304,6 @@ TEST(SweepCli, ParsesAllFlagsInBothForms) {
   EXPECT_EQ(opts.scenario, "outdoor");
   EXPECT_EQ(opts.controller, "reactive");
   EXPECT_EQ(opts.json_out, "/tmp/x.json");
-  EXPECT_TRUE(opts.freeze_timing);
 }
 
 TEST(SweepCli, DefaultsWhenNoFlags) {
@@ -319,7 +317,6 @@ TEST(SweepCli, DefaultsWhenNoFlags) {
   EXPECT_TRUE(opts.scenario.empty());
   EXPECT_TRUE(opts.controller.empty());
   EXPECT_TRUE(opts.json_out.empty());
-  EXPECT_FALSE(opts.freeze_timing);
 }
 
 int run_cli(std::vector<std::string> args) {
